@@ -338,88 +338,13 @@ func BenchmarkBarrierWait(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelLife times the full parallel Game of Life engine at the
-// lab's 8-thread point: the sharded-stats one-barrier-per-generation runner
-// against the retained reference runner (central stats mutex, two barrier
-// crossings per generation). One op is a 4-generation run on a fresh clone
-// of the same seeded 192x192 board, so the live-updates metric is
-// deterministic and doubles as a differential between the two runners.
-func BenchmarkParallelLife(b *testing.B) {
-	template, err := life.NewGrid(192, 192, life.Torus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	template.Randomize(47, 0.3)
-	const gens = 4
-	for _, ref := range []bool{false, true} {
-		ref := ref
-		name := "sharded-8"
-		if ref {
-			name = "reference-8"
-		}
-		b.Run(name, func(b *testing.B) {
-			var updates int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := template.Clone()
-				b.StartTimer()
-				pr := &life.ParallelRunner{G: g, Threads: 8, Reference: ref}
-				stats, err := pr.Run(gens)
-				if err != nil {
-					b.Fatal(err)
-				}
-				updates = stats.LiveUpdates
-			}
-			b.ReportMetric(float64(updates), "live-updates")
-		})
-	}
-}
-
-// BenchmarkDistLife times the message-passing Game of Life engine at the
-// same 8-way point as BenchmarkParallelLife: one op is a 4-generation run
-// on a fresh clone of the same seeded 192x192 board, so the live-updates
-// metric must equal BenchmarkParallelLife's — a cross-engine differential
-// baked into the baseline gate. The comm-bytes metric prices the halo
-// exchange, block distribution/collection, and stats Allreduce of one op;
-// it is deterministic for a fixed board and rank count.
-func BenchmarkDistLife(b *testing.B) {
-	template, err := life.NewGrid(192, 192, life.Torus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	template.Randomize(47, 0.3)
-	const gens = 4
-	b.Run("ranks-8", func(b *testing.B) {
-		var updates, bytes int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			g := template.Clone()
-			b.StartTimer()
-			dr := &life.DistRunner{G: g, Ranks: 8}
-			stats, err := dr.Run(gens)
-			if err != nil {
-				b.Fatal(err)
-			}
-			updates = stats.LiveUpdates
-			bytes = dr.CommStats.BytesSent
-		}
-		b.ReportMetric(float64(updates), "live-updates")
-		b.ReportMetric(float64(bytes), "comm-bytes")
-	})
-}
-
 // BenchmarkPackedLife times the bit-packed SWAR kernel (64 cells per word,
 // full-adder neighbor counting) through all three engines on the same seeded
-// 192x192 board as BenchmarkParallelLife/BenchmarkDistLife, so every
-// live-updates metric must agree across representations AND engines — a
-// cross-kernel differential baked into the baseline gate. One op is a
-// 4-generation run on a fresh clone. serial-byte is the byte kernel on the
-// identical workload: the serial/serial-byte ns/op ratio is the SWAR speedup
-// the EXPERIMENTS.md trajectory table quotes. The packed serial path must
-// not allocate (clones happen under StopTimer); dist-8 additionally reports
-// comm-bytes, pricing the ~8x packed halo/block traffic reduction.
+// 192x192 board, so every live-updates metric must agree across engines — a
+// cross-engine differential baked into the baseline gate. One op is a
+// 4-generation run on a fresh clone. The serial path must not allocate
+// (clones happen under StopTimer); dist-8 additionally reports comm-bytes,
+// pricing the packed halo/block traffic and the stats Allreduce of one op.
 func BenchmarkPackedLife(b *testing.B) {
 	template, err := life.NewGrid(192, 192, life.Torus)
 	if err != nil {
@@ -427,26 +352,13 @@ func BenchmarkPackedLife(b *testing.B) {
 	}
 	template.Randomize(47, 0.3)
 	const gens = 4
-	b.Run("serial-byte", func(b *testing.B) {
-		var updates int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			g := template.Clone()
-			b.StartTimer()
-			updates = g.RunCounted(gens)
-		}
-		b.ReportMetric(float64(updates), "live-updates")
-	})
-	packed := template.Clone()
-	packed.SetPacked(true)
 	b.Run("serial", func(b *testing.B) {
 		var updates int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			g := packed.Clone()
+			g := template.Clone()
 			b.StartTimer()
 			updates = g.RunCounted(gens)
 		}
@@ -457,7 +369,7 @@ func BenchmarkPackedLife(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			g := packed.Clone()
+			g := template.Clone()
 			b.StartTimer()
 			pr := &life.ParallelRunner{G: g, Threads: 8}
 			stats, err := pr.Run(gens)
@@ -473,7 +385,7 @@ func BenchmarkPackedLife(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			g := packed.Clone()
+			g := template.Clone()
 			b.StartTimer()
 			dr := &life.DistRunner{G: g, Ranks: 8}
 			stats, err := dr.Run(gens)
@@ -488,32 +400,20 @@ func BenchmarkPackedLife(b *testing.B) {
 	})
 }
 
-// BenchmarkPopulation times Grid.Population on both representations: the
-// byte walk against the packed per-word popcount. The population metric is
-// deterministic and identical across the two subbenches, so the baseline
-// gate doubles as a representation differential; the packed count must not
-// allocate.
+// BenchmarkPopulation times Grid.Population, a popcount per packed word.
+// The population metric is deterministic, and the count must not allocate.
 func BenchmarkPopulation(b *testing.B) {
-	template, err := life.NewGrid(192, 192, life.Torus)
+	g, err := life.NewGrid(192, 192, life.Torus)
 	if err != nil {
 		b.Fatal(err)
 	}
-	template.Randomize(47, 0.3)
-	b.Run("byte", func(b *testing.B) {
-		var pop int
-		for i := 0; i < b.N; i++ {
-			pop = template.Population()
-		}
-		b.ReportMetric(float64(pop), "population")
-	})
-	packed := template.Clone()
-	packed.SetPacked(true)
+	g.Randomize(47, 0.3)
 	b.Run("packed", func(b *testing.B) {
 		var pop int
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pop = packed.Population()
+			pop = g.Population()
 		}
 		b.ReportMetric(float64(pop), "population")
 	})
@@ -551,10 +451,10 @@ func BenchmarkAllreduce(b *testing.B) {
 }
 
 // haloExchangeRound runs b.N ring halo-exchange rounds across a world (post
-// both sends, then receive both neighbors' rows; payloads copied at send
-// time like the real runner) and returns the wire bytes of ONE halo row —
-// total traffic divided by rounds, ranks, and the two directions.
-func haloExchangeRound[Row any](b *testing.B, ranks int, mkRow func() Row) float64 {
+// both sends, then receive both neighbors' rows) and returns the wire bytes
+// of ONE halo row — total traffic divided by rounds, ranks, and the two
+// directions.
+func haloExchangeRound(b *testing.B, ranks, words int) float64 {
 	w, err := msgpass.NewWorld(ranks, msgpass.WithCapacity(4))
 	if err != nil {
 		b.Fatal(err)
@@ -565,7 +465,7 @@ func haloExchangeRound[Row any](b *testing.B, ranks int, mkRow func() Row) float
 		rank := c.Rank()
 		up := (rank + ranks - 1) % ranks
 		down := (rank + 1) % ranks
-		top, bot := mkRow(), mkRow()
+		top, bot := make([]uint64, words), make([]uint64, words)
 		for i := 0; i < b.N; i++ {
 			if err := msgpass.Send(c, up, 1, top); err != nil {
 				return err
@@ -574,10 +474,10 @@ func haloExchangeRound[Row any](b *testing.B, ranks int, mkRow func() Row) float
 				return err
 			}
 			var err error
-			if top, err = msgpass.Recv[Row](c, up, 2); err != nil {
+			if top, err = msgpass.Recv[[]uint64](c, up, 2); err != nil {
 				return err
 			}
-			if bot, err = msgpass.Recv[Row](c, down, 1); err != nil {
+			if bot, err = msgpass.Recv[[]uint64](c, down, 1); err != nil {
 				return err
 			}
 		}
@@ -592,20 +492,12 @@ func haloExchangeRound[Row any](b *testing.B, ranks int, mkRow func() Row) float
 
 // BenchmarkHaloExchange times one ring halo-exchange round across 8 ranks at
 // cols=4096 — the per-generation communication kernel of the distributed
-// Life engine in isolation — for both row representations. The
-// bytes-per-round metric is the deterministic wire size of one halo row:
-// 4096 bytes for the byte protocol, 512 (64 uint64 words) for the packed
-// one — the 8x comm reduction the SWAR representation buys the distributed
-// engine.
+// Life engine in isolation. The bytes-per-round metric is the deterministic
+// wire size of one packed halo row: 512 bytes (64 uint64 words).
 func BenchmarkHaloExchange(b *testing.B) {
 	const ranks, cols = 8, 4096
-	b.Run("byte-4096", func(b *testing.B) {
-		per := haloExchangeRound(b, ranks, func() []uint8 { return make([]uint8, cols) })
-		b.ReportMetric(per, "bytes-per-round")
-	})
 	b.Run("packed-4096", func(b *testing.B) {
-		per := haloExchangeRound(b, ranks, func() []uint64 { return make([]uint64, cols/64) })
-		b.ReportMetric(per, "bytes-per-round")
+		b.ReportMetric(haloExchangeRound(b, ranks, cols/64), "bytes-per-round")
 	})
 }
 
@@ -1109,7 +1001,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		g.Randomize(31, 0.3)
-		g.SetPacked(true)
 		pr := &life.ParallelRunner{G: g, Threads: threads}
 		if traced {
 			// A capacity generous enough that the ring never wraps:

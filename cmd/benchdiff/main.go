@@ -40,24 +40,22 @@ import (
 
 // defaultGate matches the optimized kernel benchmarks whose ns/op the CI
 // bench job gates: the original three simulator hot paths, the parallel
-// runtime added by the synchronization/sweep pass (combining-tree barrier,
-// sharded-stat life runner, and the sweep engine itself), the compiled
-// gate-level circuit engine (plan settle, gate-level datapath, 64-lane
-// batch verify), the message-passing runtime (distributed life, tree
-// Allreduce, ring halo exchange in both row representations), and the
-// bit-packed SWAR life kernel across its three engines plus the popcount
+// runtime added by the synchronization/sweep pass (combining-tree barrier
+// and the sweep engine itself), the compiled gate-level circuit engine
+// (plan settle, gate-level datapath, 64-lane batch verify), the
+// message-passing runtime (tree Allreduce, packed ring halo exchange), and
+// the bit-packed SWAR life kernel across its three engines (serial,
+// sharded-stat parallel runner, distributed ranks) plus the popcount
 // Population path. The observability pass adds its own two: the
 // zero-overhead disabled path (also pinned at 0 allocs/op via the
 // allocs/op shape invariant) and the /metrics scrape (whose families
 // count pins the exposition's shape).
 const defaultGate = `^BenchmarkLifeSpeedup/threads-1$|^BenchmarkMachineArithLoop$|^BenchmarkCacheLookup$` +
 	`|^BenchmarkBarrierWait/tree-4$|^BenchmarkBarrierWait/tree-16$` +
-	`|^BenchmarkParallelLife/sharded-8$|^BenchmarkSweepGrid$` +
+	`|^BenchmarkSweepGrid$` +
 	`|^BenchmarkCircuitSettle/compiled$|^BenchmarkGateALU$|^BenchmarkALUVerifyBatch$` +
-	`|^BenchmarkDistLife/ranks-8$|^BenchmarkAllreduce$` +
-	`|^BenchmarkHaloExchange/byte-4096$|^BenchmarkHaloExchange/packed-4096$` +
-	`|^BenchmarkPackedLife/serial$|^BenchmarkPackedLife/serial-byte$` +
-	`|^BenchmarkPackedLife/parallel-8$|^BenchmarkPackedLife/dist-8$` +
+	`|^BenchmarkAllreduce$|^BenchmarkHaloExchange/packed-4096$` +
+	`|^BenchmarkPackedLife/serial$|^BenchmarkPackedLife/parallel-8$|^BenchmarkPackedLife/dist-8$` +
 	`|^BenchmarkPopulation/packed$` +
 	`|^BenchmarkMemoHit$|^BenchmarkLabdCacheHit$|^BenchmarkLabdCacheMiss$` +
 	`|^BenchmarkParallelMergeSort/threads-1$|^BenchmarkParallelMergeSort/threads-8$` +
@@ -294,7 +292,7 @@ func run() error {
 		if base.Note == "" {
 			base.Note = "Benchmark baseline for the CI bench gate. Regenerate with: " +
 				"go test -run '^$' -bench . -benchtime=1x -cpu 1 . | go run ./cmd/benchdiff -update; " +
-				"then go test -run '^$' -bench 'LifeSpeedup/threads-1$|MachineArithLoop|CacheLookup|BarrierWait/tree|ParallelLife/sharded|SweepGrid|CircuitSettle|GateALU$|ALUVerifyBatch|DistLife|Allreduce|HaloExchange|PackedLife|Population|MemoHit|LabdCache|ParallelMergeSort' -benchtime 200ms -count 3 -cpu 1 . | go run ./cmd/benchdiff -update"
+				"then go test -run '^$' -bench 'LifeSpeedup/threads-1$|MachineArithLoop|CacheLookup|BarrierWait/tree|SweepGrid|CircuitSettle|GateALU$|ALUVerifyBatch|Allreduce|HaloExchange|PackedLife|Population|MemoHit|LabdCacheHit|LabdCacheMiss|ParallelMergeSort|ObsDisabled|MetricsScrape' -benchtime 200ms -count 3 -cpu 1 . | go run ./cmd/benchdiff -update"
 		}
 		update(&base, results, gate)
 		data, err := json.MarshalIndent(&base, "", "  ")

@@ -7,12 +7,12 @@
 //	life -rows 64 -cols 64 -iters 100 -engine parallel -threads 4 -visual
 //	life -file oscillator.txt -threads 2
 //	life -rows 512 -cols 512 -iters 50 -bench 16      # speedup table
-//	life -rows 512 -cols 512 -packed -bench 16        # SWAR kernel rows
 //
 // The engine is one flag: -engine {serial,parallel,dist}. When omitted it
 // is inferred from -threads (1 = serial, more = parallel) and the
-// deprecated -dist alias. -packed composes with every engine, switching the
-// board to the bit-packed SWAR representation (64 cells per word).
+// deprecated -dist alias. Every engine runs the bit-packed SWAR kernel (64
+// cells per word); -packed is still accepted and does nothing. Column
+// partitions (-partition cols) split the board into 64-column word blocks.
 //
 // The message-passing engine (-engine dist) exposes the fault-injection
 // knobs of the msgpass runtime: -chaos-seed/-chaos-delay/-chaos-stall
@@ -78,7 +78,7 @@ func run() error {
 	partition := flag.String("partition", "rows", "parallel partition: rows or cols")
 	engine := flag.String("engine", "", "engine: serial, parallel, or dist (default: inferred from -threads)")
 	dist := flag.Bool("dist", false, "deprecated: alias for -engine dist")
-	packed := flag.Bool("packed", false, "use the bit-packed SWAR kernel (64 cells per word)")
+	flag.Bool("packed", false, "deprecated no-op: every board is bit-packed")
 	visual := flag.Bool("visual", false, "render each generation (ParaVis)")
 	color := flag.Bool("color", true, "color thread regions in visual mode")
 	bench := flag.Int("bench", 0, "measure speedup for 1..N threads and exit")
@@ -119,9 +119,6 @@ func run() error {
 			return err
 		}
 		g.Randomize(*seed, *density)
-	}
-	if *packed {
-		g.SetPacked(true)
 	}
 
 	part := life.ByRows
@@ -176,7 +173,7 @@ func run() error {
 		if ranks < 1 {
 			ranks = 1
 		}
-		dr := &life.DistRunner{G: g, Ranks: ranks, Partition: part,
+		dr := &life.DistRunner{G: g, Ranks: ranks,
 			Chaos: chaos, Watchdog: *watchdog, Trace: tr}
 		start := time.Now()
 		stats, err := dr.Run(*iters)
@@ -189,8 +186,8 @@ func run() error {
 			return err
 		}
 		ws := dr.CommStats
-		fmt.Printf("ran %d rounds on %d ranks (message passing%s), %d cell updates\n",
-			stats.Rounds, dr.Ranks, packedNote(g), stats.LiveUpdates)
+		fmt.Printf("ran %d rounds on %d ranks (message passing), %d cell updates\n",
+			stats.Rounds, dr.Ranks, stats.LiveUpdates)
 		fmt.Printf("comm: %d messages, %d bytes sent, %d collective calls\n",
 			ws.Sends, ws.BytesSent, ws.Collectives)
 		fmt.Printf("final population %d after %d generations\n%s",
@@ -229,8 +226,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("ran %d rounds on %d threads (%v partition%s), %d cell updates\n",
-			stats.Rounds, *threads, part, packedNote(g), stats.LiveUpdates)
+		fmt.Printf("ran %d rounds on %d threads (%v partition), %d cell updates\n",
+			stats.Rounds, *threads, part, stats.LiveUpdates)
 	}
 	if !*visual {
 		fmt.Printf("final population %d after %d generations\n%s",
@@ -262,19 +259,10 @@ func writeTrace(tr *obs.Trace, path string) error {
 	return nil
 }
 
-// packedNote annotates engine banners when the SWAR kernel is active.
-func packedNote(g *life.Grid) string {
-	if g.Packed() {
-		return ", bit-packed"
-	}
-	return ""
-}
-
 // runBench measures the speedup table. Metric names match the bench harness
 // in bench_test.go (ns/op, speedup, efficiency-%), and the whole table is
 // assembled before printing so measurement output never interleaves with
-// anything the workers write. The template's representation carries through
-// Clone, so -packed benches the SWAR kernel at every thread count.
+// anything the workers write.
 func runBench(template *life.Grid, iters, maxThreads int, part life.Partition, dist bool) error {
 	counts := []int{1}
 	for t := 2; t <= maxThreads; t *= 2 {
@@ -287,7 +275,7 @@ func runBench(template *life.Grid, iters, maxThreads int, part life.Partition, d
 			return nil
 		}
 		if dist {
-			dr := &life.DistRunner{G: g, Ranks: threads, Partition: part}
+			dr := &life.DistRunner{G: g, Ranks: threads}
 			if _, err := dr.Run(iters); err != nil {
 				return fmt.Errorf("%d ranks: %w", threads, err)
 			}
@@ -307,8 +295,8 @@ func runBench(template *life.Grid, iters, maxThreads int, part life.Partition, d
 		engine = "message passing"
 	}
 	var out strings.Builder
-	fmt.Fprintf(&out, "Game of Life speedup: %dx%d grid, %d iterations, %v partition, %s%s\n",
-		template.Rows, template.Cols, iters, part, engine, packedNote(template))
+	fmt.Fprintf(&out, "Game of Life speedup: %dx%d grid, %d iterations, %v partition, %s\n",
+		template.Rows, template.Cols, iters, part, engine)
 	fmt.Fprintf(&out, "%8s %14s %9s %13s\n", "threads", "ns/op", "speedup", "efficiency-%")
 	for _, p := range points {
 		// One op is one full-grid generation, matching BenchmarkLifeSpeedup.

@@ -392,7 +392,7 @@ type LifeRunRequest struct {
 	Threads   int     `json:"threads,omitempty"`   // <=1 runs the serial engine
 	Partition string  `json:"partition,omitempty"` // rows|cols
 	Engine    string  `json:"engine,omitempty"`    // parallel (default) | dist
-	Packed    bool    `json:"packed,omitempty"`    // advance through the bit-packed SWAR kernel
+	Packed    bool    `json:"packed,omitempty"`    // accepted no-op: every board is bit-packed
 	Speedup   bool    `json:"speedup,omitempty"`   // measure 1..Threads scaling
 }
 
@@ -472,12 +472,6 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		return resp, errBadRequest{err}
 	}
 	g.Randomize(seed, density)
-	if req.Packed {
-		// Randomize fills the byte board first, so packed and byte requests
-		// with the same seed share a starting board; Clone preserves the
-		// representation, so the speedup series below inherits it.
-		g.SetPacked(true)
-	}
 
 	if req.Speedup && req.Threads > 1 {
 		counts := []int{1}
@@ -549,7 +543,7 @@ func runLifeCtx(ctx context.Context, g *life.Grid, threads int, part life.Partit
 		}
 		return 0, nil
 	case dist:
-		dr := &life.DistRunner{G: g, Ranks: threads, Partition: part}
+		dr := &life.DistRunner{G: g, Ranks: threads}
 		st, err := dr.RunCtx(ctx, iters)
 		if err != nil {
 			return 0, err

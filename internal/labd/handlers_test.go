@@ -307,8 +307,9 @@ func TestLifeRunDistEngine(t *testing.T) {
 	}
 }
 
-// TestLifeRunPacked: packed:true must agree with the byte kernel for every
-// engine — population, generations, and live updates on the same seed.
+// TestLifeRunPacked: packed:true is an accepted no-op (every board is
+// bit-packed), so it must agree with a request without it for every engine
+// — population and generations on the same seed.
 func TestLifeRunPacked(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	run := func(req LifeRunRequest) LifeRunResponse {
@@ -320,19 +321,19 @@ func TestLifeRunPacked(t *testing.T) {
 		return decode[LifeRunResponse](t, raw)
 	}
 	base := LifeRunRequest{Rows: 48, Cols: 70, Iters: 16, Seed: 7}
-	byteOut := run(base)
+	plain := run(base)
 	for _, req := range []LifeRunRequest{
 		{Rows: 48, Cols: 70, Iters: 16, Seed: 7, Packed: true},
 		{Rows: 48, Cols: 70, Iters: 16, Seed: 7, Packed: true, Threads: 4},
 		{Rows: 48, Cols: 70, Iters: 16, Seed: 7, Packed: true, Threads: 4, Engine: "dist"},
 	} {
 		out := run(req)
-		if out.Population != byteOut.Population || out.Generations != byteOut.Generations {
-			t.Errorf("%+v: population %d gen %d, byte kernel got %d / %d",
-				req, out.Population, out.Generations, byteOut.Population, byteOut.Generations)
+		if out.Population != plain.Population || out.Generations != plain.Generations {
+			t.Errorf("%+v: population %d gen %d, without packed got %d / %d",
+				req, out.Population, out.Generations, plain.Population, plain.Generations)
 		}
 	}
-	// Packed speedup tables work too: Clone preserves the representation.
+	// Speedup tables accept the flag too.
 	out := run(LifeRunRequest{Rows: 64, Cols: 64, Iters: 8, Threads: 4, Packed: true, Speedup: true})
 	if len(out.Scaling) < 2 {
 		t.Fatalf("packed scaling table has %d rows, want >= 2", len(out.Scaling))

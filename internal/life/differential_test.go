@@ -1,10 +1,10 @@
 package life
 
-// Differential equivalence: the row-sliced kernel (Step / ParallelRunner
-// tiles) must be bit-for-bit identical to the per-cell reference path
-// (stepReference) for every edge mode, partition, grid shape — including
-// degenerate 1xN / Nx1 / 2x2 grids where torus wrapping double-counts
-// neighbors — and over many generations.
+// Differential equivalence: the SWAR kernel (Step / ParallelRunner tiles)
+// must be bit-for-bit identical to the per-cell oracle (stepReference) —
+// boards AND live-update counts — for every edge mode, partition, grid
+// shape — including degenerate 1xN / Nx1 / 2x2 grids where torus wrapping
+// double-counts neighbors — and over many generations.
 
 import (
 	"fmt"
@@ -16,13 +16,23 @@ import (
 var allModes = []EdgeMode{Torus, DeadEdges, AliveEdges, MirrorEdges}
 
 // referenceRun advances a clone of g through n generations of the per-cell
-// reference implementation.
-func referenceRun(g *Grid, n int) *Grid {
+// oracle and returns the resulting grid plus how many cells changed state —
+// the board and LiveUpdates every engine is held to.
+func referenceRun(g *Grid, n int) (*Grid, int64) {
 	ref := g.Clone()
+	var changed int64
 	for i := 0; i < n; i++ {
-		ref.stepReference()
+		changed += ref.stepReference()
 	}
-	return ref
+	return ref, changed
+}
+
+// updatesMatch reports a LiveUpdates count that disagrees with the oracle's.
+func updatesMatch(t *testing.T, label string, got, want int64) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s: live updates %d, per-cell reference counted %d", label, got, want)
+	}
 }
 
 func gridsMatch(t *testing.T, label string, got, want *Grid) {
@@ -46,8 +56,8 @@ func TestStepMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				g.Randomize(42, 0.35)
-				want := referenceRun(g, 8)
-				g.Run(8)
+				want, wantUpdates := referenceRun(g, 8)
+				updatesMatch(t, "serial kernel", g.RunCounted(8), wantUpdates)
 				gridsMatch(t, "serial kernel", g, want)
 			})
 		}
@@ -66,13 +76,14 @@ func TestParallelMatchesReference(t *testing.T) {
 					}
 					g.Randomize(7, 0.3)
 					const gens = 6
-					want := referenceRun(g, gens)
+					want, wantUpdates := referenceRun(g, gens)
 					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
 					stats, err := pr.Run(gens)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gridsMatch(t, "parallel kernel", g, want)
+					updatesMatch(t, "parallel kernel", stats.LiveUpdates, wantUpdates)
 					if stats.Rounds != gens {
 						t.Errorf("rounds = %d, want %d", stats.Rounds, gens)
 					}
@@ -83,37 +94,31 @@ func TestParallelMatchesReference(t *testing.T) {
 }
 
 // TestParallelStatsMatchSerialKernel pins the LiveUpdates count the workers
-// report to the count the kernel computes serially.
+// report to the count the serial kernel and the per-cell oracle compute.
 func TestParallelStatsMatchSerialKernel(t *testing.T) {
 	g, err := NewGrid(24, 24, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(99, 0.4)
-	serial := g.Clone()
-	var serialChanged int64
 	const gens = 5
-	for i := 0; i < gens; i++ {
-		serialChanged += serial.stepBlock(0, serial.Rows, 0, serial.Cols)
-		serial.swap()
-	}
+	_, wantUpdates := referenceRun(g, gens)
+	serial := g.Clone()
+	updatesMatch(t, "serial kernel", serial.RunCounted(gens), wantUpdates)
 	pr := &ParallelRunner{G: g, Threads: 4}
 	stats, err := pr.Run(gens)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.LiveUpdates != serialChanged {
-		t.Errorf("parallel LiveUpdates = %d, serial kernel counted %d", stats.LiveUpdates, serialChanged)
-	}
+	updatesMatch(t, "parallel runner", stats.LiveUpdates, wantUpdates)
 }
 
 // TestParallelSurplusThreads runs with more threads than the partition
-// extent (labd accepts up to 64 threads on arbitrarily small grids). Surplus
-// workers own empty tiles and must touch nothing: before the empty-range
-// guard in stepBlock, a ByCols surplus worker recomputed the right edge
-// column for every row, racing with the owning tile (caught under -race)
-// and double-counting LiveUpdates. The grid is 9x5 so Threads=12 exceeds
-// both extents.
+// extent (labd accepts up to 64 threads on arbitrarily small grids).
+// Surplus workers would own empty tiles; an empty tile that still wrote its
+// edge recomputed cells the owning tile also wrote, racing with it (caught
+// under -race) and double-counting LiveUpdates. The grid is 9x5 so
+// Threads=12 exceeds both extents.
 func TestParallelSurplusThreads(t *testing.T) {
 	for _, mode := range allModes {
 		for _, part := range []Partition{ByRows, ByCols} {
@@ -125,21 +130,14 @@ func TestParallelSurplusThreads(t *testing.T) {
 				}
 				g.Randomize(17, 0.35)
 				const gens = 6
-				serial := g.Clone()
-				var serialChanged int64
-				for i := 0; i < gens; i++ {
-					serialChanged += serial.stepBlock(0, serial.Rows, 0, serial.Cols)
-					serial.swap()
-				}
+				want, wantUpdates := referenceRun(g, gens)
 				pr := &ParallelRunner{G: g, Threads: 12, Partition: part}
 				stats, err := pr.Run(gens)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gridsMatch(t, "surplus threads", g, serial)
-				if stats.LiveUpdates != serialChanged {
-					t.Errorf("LiveUpdates = %d, serial kernel counted %d", stats.LiveUpdates, serialChanged)
-				}
+				gridsMatch(t, "surplus threads", g, want)
+				updatesMatch(t, "surplus threads", stats.LiveUpdates, wantUpdates)
 			})
 		}
 	}
@@ -149,34 +147,34 @@ func TestParallelSurplusThreads(t *testing.T) {
 // zero-height block must report no changes and leave the scratch buffer
 // untouched, even when its bounds sit on the grid edge.
 func TestStepBlockEmptyRange(t *testing.T) {
-	g, err := NewGrid(6, 6, Torus)
+	g, err := NewGrid(6, 130, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(5, 0.5)
-	before := append([]uint8(nil), g.next...)
+	before := append([]uint64(nil), g.next...)
 	for _, blk := range [][4]int{
-		{0, g.Rows, g.Cols, g.Cols}, // surplus ByCols tile at the right edge
-		{g.Rows, g.Rows, 0, g.Cols}, // surplus ByRows tile at the bottom edge
-		{0, g.Rows, 3, 3},
-		{2, 2, 0, g.Cols},
+		{0, g.Rows, g.wpr, g.wpr},  // surplus ByCols tile at the right edge
+		{g.Rows, g.Rows, 0, g.wpr}, // surplus ByRows tile at the bottom edge
+		{0, g.Rows, 1, 1},
+		{2, 2, 0, g.wpr},
 	} {
-		if ch := g.stepBlock(blk[0], blk[1], blk[2], blk[3]); ch != 0 {
-			t.Errorf("stepBlock(%v) reported %d changes, want 0", blk, ch)
+		ch := stepPackedSlices(g.cells, g.next, g.zeroRow, g.oneRow, g.Rows, g.Cols, g.wpr, g.Mode, blk[0], blk[1], blk[2], blk[3])
+		if ch != 0 {
+			t.Errorf("stepPackedSlices(%v) reported %d changes, want 0", blk, ch)
 		}
 	}
 	for i := range before {
 		if g.next[i] != before[i] {
-			t.Fatalf("empty stepBlock wrote to scratch buffer at index %d", i)
+			t.Fatalf("empty block wrote to scratch buffer at word %d", i)
 		}
 	}
 }
 
-// TestRunnerMatchesReferenceRunner holds the sharded one-barrier runner to
-// the retained two-barrier mutex-stats runner: same final grid, same
-// generation count, same LiveUpdates reduction, for every edge mode ×
-// partition × thread count (including surplus threads that both paths
-// clamp identically).
+// TestRunnerMatchesReferenceRunner holds ParallelRunner to the per-cell
+// oracle on a small board: same final grid, same generation count, same
+// LiveUpdates reduction, for every edge mode × partition × thread count
+// (including surplus threads, which clamp to the partition extent).
 func TestRunnerMatchesReferenceRunner(t *testing.T) {
 	for _, mode := range allModes {
 		for _, part := range []Partition{ByRows, ByCols} {
@@ -188,24 +186,17 @@ func TestRunnerMatchesReferenceRunner(t *testing.T) {
 						t.Fatal(err)
 					}
 					g.Randomize(23, 0.35)
-					ref := g.Clone()
 					const gens = 6
+					want, wantUpdates := referenceRun(g, gens)
 					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
 					stats, err := pr.Run(gens)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rr := &ParallelRunner{G: ref, Threads: threads, Partition: part, Reference: true}
-					refStats, err := rr.Run(gens)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gridsMatch(t, "sharded vs reference runner", g, ref)
-					if stats.LiveUpdates != refStats.LiveUpdates {
-						t.Errorf("LiveUpdates = %d, reference runner counted %d", stats.LiveUpdates, refStats.LiveUpdates)
-					}
-					if stats.Rounds != refStats.Rounds {
-						t.Errorf("Rounds = %d, reference runner counted %d", stats.Rounds, refStats.Rounds)
+					gridsMatch(t, "runner vs reference", g, want)
+					updatesMatch(t, "runner vs reference", stats.LiveUpdates, wantUpdates)
+					if stats.Rounds != gens {
+						t.Errorf("Rounds = %d, want %d", stats.Rounds, gens)
 					}
 				})
 			}

@@ -23,7 +23,11 @@ const (
 // distEagerCapacity is the inbox depth DistRunner worlds use: the halo
 // exchange posts both neighbor sends before receiving (the symmetric
 // pattern that deadlocks under rendezvous), so sends must buffer. Two
-// in-flight halos plus distribution traffic fit comfortably in 4.
+// in-flight halos plus distribution traffic fit in 4; when early
+// Allreduce contributions from ranks that finished ahead overflow an
+// inbox, msgpass's progress rule (a parked sender keeps draining its own
+// inbox) keeps the exchange moving, so the depth bounds memory, not
+// correctness.
 const distEagerCapacity = 4
 
 // DistRunner advances a grid with message-passing ranks — the distributed-
@@ -33,18 +37,12 @@ const distEagerCapacity = 4
 // each generation, and the per-rank live-update counts meet in an
 // Allreduce. No rank ever touches another rank's memory; every byte that
 // crosses a shard boundary is a message, and the world's counters price
-// exactly that traffic.
-//
-// When the grid is packed (Grid.SetPacked), the whole protocol moves to the
-// bit-packed representation: row blocks and halo rows travel as []uint64
-// words, so a halo row costs ceil(cols/64)*8 bytes on the wire instead of
-// cols — an ~8x reduction (512 bytes instead of 4096 at cols=4096) — and
-// each band advances through the SWAR kernel.
+// exactly that traffic. Row blocks and halo rows travel as packed []uint64
+// words, so a halo row costs ceil(cols/64)*8 bytes on the wire (512 bytes
+// at cols=4096), and each band advances through the SWAR kernel.
 type DistRunner struct {
-	G         *Grid
-	Ranks     int
-	Capacity  int       // per-rank inbox depth; < 2 selects the eager default
-	Partition Partition // accepted for symmetry; only ByRows is supported
+	G     *Grid
+	Ranks int
 
 	// Chaos, when non-nil, arms seeded fault injection on the world: bounded
 	// delivery delays and rank stalls that perturb timing without touching
@@ -75,14 +73,14 @@ type DistRunner struct {
 // Protocol per rank: receive your row block from rank 0 (tagBlock), then
 // each generation send your top/bottom owned rows to your neighbors
 // (tagUp/tagDown), receive theirs into your halo rows, and advance your
-// band with the shared kernel (byte or SWAR, matching the grid's
-// representation); after the last generation, Allreduce the live-update
-// counts and send your block back to rank 0. Neighbor relationships wrap
-// into a ring under Torus and fall off the ends otherwise: a DeadEdges
-// boundary halo stays all-dead, an AliveEdges one is pinned all-live, and a
-// MirrorEdges one is refreshed each generation with the rank's own edge row
-// (the reflection). A rank that is its own neighbor (a single-rank torus)
-// copies its edge rows locally instead of messaging itself.
+// band with the shared SWAR kernel; after the last generation, Allreduce
+// the live-update counts and send your block back to rank 0. Neighbor
+// relationships wrap into a ring under Torus and fall off the ends
+// otherwise: a DeadEdges boundary halo stays all-dead, an AliveEdges one is
+// pinned all-live, and a MirrorEdges one is refreshed each generation with
+// the rank's own edge row (the reflection). A rank that is its own neighbor
+// (a single-rank torus) copies its edge rows locally instead of messaging
+// itself.
 func (dr *DistRunner) Run(n int) (*RunStats, error) {
 	return dr.RunCtx(context.Background(), n)
 }
@@ -127,9 +125,6 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	if dr.Ranks < 1 {
 		return nil, fmt.Errorf("life: need at least 1 rank")
 	}
-	if dr.Partition != ByRows {
-		return nil, fmt.Errorf("life: distributed runner shards by rows only")
-	}
 	g := dr.G
 	// Clamp to the row extent, the same surplus-worker discipline as
 	// ParallelRunner: ranks beyond Rows would own empty bands and only add
@@ -137,12 +132,7 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	if dr.Ranks > g.Rows {
 		dr.Ranks = g.Rows
 	}
-	ranks := dr.Ranks
-	capacity := dr.Capacity
-	if capacity < 2 {
-		capacity = distEagerCapacity
-	}
-	opts := []msgpass.Option{msgpass.WithCapacity(capacity)}
+	opts := []msgpass.Option{msgpass.WithCapacity(distEagerCapacity)}
 	if dr.Chaos != nil {
 		opts = append(opts, msgpass.WithChaos(*dr.Chaos))
 	}
@@ -152,18 +142,14 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	if dr.Watchdog > 0 {
 		opts = append(opts, msgpass.WithWatchdog(dr.Watchdog))
 	}
-	world, err := msgpass.NewWorld(ranks, opts...)
+	world, err := msgpass.NewWorld(dr.Ranks, opts...)
 	if err != nil {
 		return nil, err
 	}
 
 	stats := &RunStats{}
-	body := dr.byteRank
-	if g.packed {
-		body = dr.packedRank
-	}
 	err = world.RunCtx(ctx, func(c *msgpass.Comm) error {
-		return body(c, n, stats)
+		return dr.rank(c, n, stats)
 	})
 	// Record traffic counters even on a failed run: a canceled or deadlocked
 	// run's partial traffic is exactly what fault diagnosis wants to see.
@@ -174,176 +160,13 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	// Promote the assembled generation. One swap suffices: the Grid's
 	// buffers were never touched mid-run, only the scratch side at
 	// collection time.
-	if g.packed {
-		g.pcells, g.pnext = g.pnext, g.pcells
-	} else {
-		g.cells, g.next = g.next, g.cells
-	}
+	g.cells, g.next = g.next, g.cells
 	g.Generation += n
 	return stats, nil
 }
 
-// byteRank is one rank of the byte-representation protocol.
-func (dr *DistRunner) byteRank(c *msgpass.Comm, n int, stats *RunStats) error {
-	g := dr.G
-	ranks := dr.Ranks
-	rows, cols, mode := g.Rows, g.Cols, g.Mode
-	lane, nGen, nHalo := dr.traceHandles(c)
-	rank := c.Rank()
-	lo, hi := pthread.BlockRange(rank, ranks, rows)
-	band := hi - lo
-
-	// Local shard: band rows plus one halo row above and below. Halo
-	// rows are index 0 and band+1; owned rows are 1..band. Both parity
-	// buffers start zeroed, which is exactly the all-dead halo DeadEdges
-	// boundary ranks need forever (the kernel never writes halo rows).
-	src := make([]uint8, (band+2)*cols)
-	dst := make([]uint8, (band+2)*cols)
-	zero := make([]uint8, cols)
-	one := make([]uint8, cols)
-	for i := range one {
-		one[i] = 1
-	}
-
-	// Distribute: rank 0 owns the grid and mails every other rank its
-	// band; its own band is a local copy.
-	if rank == 0 {
-		for r := 1; r < ranks; r++ {
-			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block := append([]uint8(nil), g.cells[rlo*cols:rhi*cols]...)
-			if err := msgpass.Send(c, r, distTagBlock, block); err != nil {
-				return err
-			}
-		}
-		copy(src[cols:(band+1)*cols], g.cells[lo*cols:hi*cols])
-	} else {
-		block, err := msgpass.Recv[[]uint8](c, 0, distTagBlock)
-		if err != nil {
-			return err
-		}
-		if len(block) != band*cols {
-			return fmt.Errorf("rank %d: block of %d cells, want %d", rank, len(block), band*cols)
-		}
-		copy(src[cols:(band+1)*cols], block)
-	}
-
-	up, down := distNeighbors(rank, ranks, mode)
-	// An AliveEdges boundary halo is pinned all-live in both parity buffers
-	// once: the kernel never writes halo rows and no message targets them.
-	if mode == AliveEdges {
-		if up < 0 {
-			copy(src[:cols], one)
-			copy(dst[:cols], one)
-		}
-		if down < 0 {
-			copy(src[(band+1)*cols:], one)
-			copy(dst[(band+1)*cols:], one)
-		}
-	}
-
-	var updates int64
-	for gen := 0; gen < n; gen++ {
-		lane.Begin(nGen)
-		lane.Begin(nHalo)
-		top := src[cols : 2*cols]                     // first owned row
-		bot := src[band*cols : (band+1)*cols]         // last owned row
-		haloTop := src[:cols]                         // row lo-1's image
-		haloBot := src[(band+1)*cols : (band+2)*cols] // row hi's image
-		if up == rank {                               // single-rank torus: both neighbors are us
-			copy(haloTop, bot)
-			copy(haloBot, top)
-		} else {
-			// Post both sends before either receive: under eager
-			// buffering the symmetric exchange cannot deadlock, and the
-			// payloads are copies, so a neighbor may apply them whenever
-			// it gets around to its own exchange. Then fill the halos —
-			// the neighbor above's bottom row arrives as tagDown, the
-			// one below's top row as tagUp.
-			if up >= 0 {
-				if err := msgpass.Send(c, up, distTagUp, append([]uint8(nil), top...)); err != nil {
-					return err
-				}
-			}
-			if down >= 0 {
-				if err := msgpass.Send(c, down, distTagDown, append([]uint8(nil), bot...)); err != nil {
-					return err
-				}
-			}
-			if up >= 0 {
-				row, err := msgpass.Recv[[]uint8](c, up, distTagDown)
-				if err != nil {
-					return err
-				}
-				copy(haloTop, row)
-			}
-			if down >= 0 {
-				row, err := msgpass.Recv[[]uint8](c, down, distTagUp)
-				if err != nil {
-					return err
-				}
-				copy(haloBot, row)
-			}
-		}
-		// A MirrorEdges boundary reflects the rank's own edge row into the
-		// halo; the reflection changes every generation, so refresh it on
-		// the current source parity.
-		if mode == MirrorEdges {
-			if up < 0 {
-				copy(haloTop, top)
-			}
-			if down < 0 {
-				copy(haloBot, bot)
-			}
-		}
-		lane.End(nHalo)
-		// The shared kernel over owned rows only. The local buffer is
-		// band+2 rows tall and the range [1, band+1) never reaches rows
-		// 0 or band+1 as a *computed* row, so rowIn never synthesizes a
-		// ghost — all vertical neighbor data comes from the exchanged or
-		// locally synthesized halos, while column edge behavior (mode)
-		// works exactly as on the full grid.
-		updates += stepSlices(src, dst, zero, one, band+2, cols, mode, 1, band+1, 0, cols)
-		lane.End(nGen)
-		src, dst = dst, src
-	}
-
-	// Stats meet in an Allreduce: every rank learns the global total,
-	// the root records it.
-	total, err := msgpass.Allreduce(c, updates, func(a, b int64) int64 { return a + b })
-	if err != nil {
-		return err
-	}
-
-	// Collect: everyone mails the final band home; rank 0 assembles the
-	// next generation buffer (promoted to current after the world joins).
-	if rank == 0 {
-		copy(g.next[lo*cols:hi*cols], src[cols:(band+1)*cols])
-		for r := 1; r < ranks; r++ {
-			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block, err := msgpass.Recv[[]uint8](c, r, distTagBlock)
-			if err != nil {
-				return err
-			}
-			if len(block) != (rhi-rlo)*cols {
-				return fmt.Errorf("rank 0: block from %d has %d cells, want %d", r, len(block), (rhi-rlo)*cols)
-			}
-			copy(g.next[rlo*cols:rhi*cols], block)
-		}
-		stats.LiveUpdates = total
-		stats.Rounds = n
-	} else {
-		if err := msgpass.Send(c, 0, distTagBlock, append([]uint8(nil), src[cols:(band+1)*cols]...)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// packedRank is one rank of the bit-packed protocol: the same dance as
-// byteRank, but bands and halo rows are []uint64 words — ceil(cols/64)
-// words per row — so halo traffic shrinks ~8x and each band advances
-// through the SWAR kernel.
-func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error {
+// rank is one rank's body of the protocol RunCtx documents.
+func (dr *DistRunner) rank(c *msgpass.Comm, n int, stats *RunStats) error {
 	g := dr.G
 	ranks := dr.Ranks
 	rows, cols, mode, wpr := g.Rows, g.Cols, g.Mode, g.wpr
@@ -352,44 +175,46 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 	lo, hi := pthread.BlockRange(rank, ranks, rows)
 	band := hi - lo
 
+	// Local shard: band rows plus one halo row above and below. Halo rows
+	// are rows 0 and band+1; owned rows are 1..band. Both parity buffers
+	// start zeroed, which is exactly the all-dead halo DeadEdges boundary
+	// ranks need forever (the kernel never writes halo rows).
 	src := make([]uint64, (band+2)*wpr)
 	dst := make([]uint64, (band+2)*wpr)
-	zero := make([]uint64, wpr)
-	one := make([]uint64, wpr)
-	for i := range one {
-		one[i] = ^uint64(0)
-	}
-	one[wpr-1] = lastWordMask(cols)
 
+	// Distribute: rank 0 owns the grid and mails every other rank its band;
+	// its own band is a local copy.
 	if rank == 0 {
 		for r := 1; r < ranks; r++ {
 			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block := append([]uint64(nil), g.pcells[rlo*wpr:rhi*wpr]...)
+			block := append([]uint64(nil), g.cells[rlo*wpr:rhi*wpr]...)
 			if err := msgpass.Send(c, r, distTagBlock, block); err != nil {
 				return err
 			}
 		}
-		copy(src[wpr:(band+1)*wpr], g.pcells[lo*wpr:hi*wpr])
+		copy(src[wpr:(band+1)*wpr], g.cells[lo*wpr:hi*wpr])
 	} else {
 		block, err := msgpass.Recv[[]uint64](c, 0, distTagBlock)
 		if err != nil {
 			return err
 		}
 		if len(block) != band*wpr {
-			return fmt.Errorf("rank %d: packed block of %d words, want %d", rank, len(block), band*wpr)
+			return fmt.Errorf("rank %d: block of %d words, want %d", rank, len(block), band*wpr)
 		}
 		copy(src[wpr:(band+1)*wpr], block)
 	}
 
 	up, down := distNeighbors(rank, ranks, mode)
+	// An AliveEdges boundary halo is pinned all-live in both parity buffers
+	// once: the kernel never writes halo rows and no message targets them.
 	if mode == AliveEdges {
-		if up < 0 {
-			copy(src[:wpr], one)
-			copy(dst[:wpr], one)
-		}
-		if down < 0 {
-			copy(src[(band+1)*wpr:], one)
-			copy(dst[(band+1)*wpr:], one)
+		for _, buf := range [][]uint64{src, dst} {
+			if up < 0 {
+				copy(buf[:wpr], g.oneRow)
+			}
+			if down < 0 {
+				copy(buf[(band+1)*wpr:], g.oneRow)
+			}
 		}
 	}
 
@@ -397,14 +222,22 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 	for gen := 0; gen < n; gen++ {
 		lane.Begin(nGen)
 		lane.Begin(nHalo)
-		top := src[wpr : 2*wpr]
-		bot := src[band*wpr : (band+1)*wpr]
-		haloTop := src[:wpr]
-		haloBot := src[(band+1)*wpr : (band+2)*wpr]
-		if up == rank {
+		top := src[wpr : 2*wpr]                     // first owned row
+		bot := src[band*wpr : (band+1)*wpr]         // last owned row
+		haloTop := src[:wpr]                        // row lo-1's image
+		haloBot := src[(band+1)*wpr : (band+2)*wpr] // row hi's image
+		if up == rank {                             // single-rank torus: both neighbors are us
 			copy(haloTop, bot)
 			copy(haloBot, top)
 		} else {
+			// Post both sends before either receive. Sends are eager, and
+			// a sender parked on a full inbox keeps draining its own
+			// (msgpass's progress rule), so the symmetric exchange
+			// completes even when early Allreduce traffic from ranks that
+			// ran ahead fills an inbox. The payloads are copies, so a
+			// neighbor may apply them whenever it reaches its own
+			// exchange. Then fill the halos: the neighbor above's bottom
+			// row arrives as tagDown, the one below's top row as tagUp.
 			if up >= 0 {
 				if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), top...)); err != nil {
 					return err
@@ -430,6 +263,9 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 				copy(haloBot, row)
 			}
 		}
+		// A MirrorEdges boundary reflects the rank's own edge row into the
+		// halo; the reflection changes every generation, so refresh it on
+		// the current source parity.
 		if mode == MirrorEdges {
 			if up < 0 {
 				copy(haloTop, top)
@@ -439,18 +275,27 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 			}
 		}
 		lane.End(nHalo)
-		updates += stepPackedSlices(src, dst, zero, one, band+2, cols, wpr, mode, 1, band+1, 0, wpr)
+		// The shared kernel over owned rows only. The local buffer is
+		// band+2 rows tall and rows [1, band+1) never reach past it, so the
+		// kernel never synthesizes a ghost row (hence no ghost-row buffers):
+		// all vertical neighbor data comes from the halos, while column
+		// edge behavior (mode) works exactly as on the full grid.
+		updates += stepPackedSlices(src, dst, nil, nil, band+2, cols, wpr, mode, 1, band+1, 0, wpr)
 		lane.End(nGen)
 		src, dst = dst, src
 	}
 
+	// Stats meet in an Allreduce: every rank learns the global total, the
+	// root records it.
 	total, err := msgpass.Allreduce(c, updates, func(a, b int64) int64 { return a + b })
 	if err != nil {
 		return err
 	}
 
+	// Collect: everyone mails the final band home; rank 0 assembles the
+	// next generation buffer (promoted to current after the world joins).
 	if rank == 0 {
-		copy(g.pnext[lo*wpr:hi*wpr], src[wpr:(band+1)*wpr])
+		copy(g.next[lo*wpr:hi*wpr], src[wpr:(band+1)*wpr])
 		for r := 1; r < ranks; r++ {
 			rlo, rhi := pthread.BlockRange(r, ranks, rows)
 			block, err := msgpass.Recv[[]uint64](c, r, distTagBlock)
@@ -458,9 +303,9 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 				return err
 			}
 			if len(block) != (rhi-rlo)*wpr {
-				return fmt.Errorf("rank 0: packed block from %d has %d words, want %d", r, len(block), (rhi-rlo)*wpr)
+				return fmt.Errorf("rank 0: block from %d has %d words, want %d", r, len(block), (rhi-rlo)*wpr)
 			}
-			copy(g.pnext[rlo*wpr:rhi*wpr], block)
+			copy(g.next[rlo*wpr:rhi*wpr], block)
 		}
 		stats.LiveUpdates = total
 		stats.Rounds = n

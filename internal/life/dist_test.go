@@ -1,15 +1,37 @@
 package life
 
 // Differential equivalence for the distributed runner: row-block sharding
-// plus halo exchange must be bit-for-bit the serial engine — boards AND
+// plus halo exchange must be bit-for-bit the per-cell oracle — boards AND
 // live-update statistics — for every edge mode, shape, and rank count,
-// including the surplus-ranks > rows class (PR 3's surplus-thread bug,
-// re-tested here on the message-passing path).
+// including the surplus-ranks > rows class (the surplus-thread bug class,
+// re-tested here on the message-passing path). Every run goes through
+// runDist, which arms the deadlock watchdog, so a protocol hang fails in
+// seconds with the blocked ranks named instead of timing the package out.
 
 import (
 	"fmt"
 	"testing"
+	"time"
 )
+
+// distTestWatchdog is the deadlock watchdog period the dist tests arm:
+// long enough that a rank descheduled on a loaded host is never mistaken
+// for a stuck one, short enough that a real hang fails in seconds.
+const distTestWatchdog = 2 * time.Second
+
+// runDist runs dr for gens generations with the deadlock watchdog armed
+// (unless the test armed its own) and fails the test on any error.
+func runDist(t testing.TB, dr *DistRunner, gens int) *RunStats {
+	t.Helper()
+	if dr.Watchdog == 0 {
+		dr.Watchdog = distTestWatchdog
+	}
+	stats, err := dr.Run(gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
 
 func TestDistMatchesReference(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 5}, {5, 2}, {3, 3}, {16, 16}, {13, 31}, {64, 17}}
@@ -24,29 +46,12 @@ func TestDistMatchesReference(t *testing.T) {
 					}
 					g.Randomize(42, 0.35)
 					const gens = 8
-					want := referenceRun(g, gens)
-
-					dr := &DistRunner{G: g, Ranks: ranks}
-					stats, err := dr.Run(gens)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want, wantUpdates := referenceRun(g, gens)
+					stats := runDist(t, &DistRunner{G: g, Ranks: ranks}, gens)
 					gridsMatch(t, "distributed vs reference", g, want)
+					updatesMatch(t, "distributed vs reference", stats.LiveUpdates, wantUpdates)
 					if stats.Rounds != gens {
 						t.Errorf("rounds %d, want %d", stats.Rounds, gens)
-					}
-
-					// Live updates must equal the serial engine's count.
-					serial := want.Clone()
-					serial.Generation = 0
-					fresh, err := NewGrid(rows, cols, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fresh.Randomize(42, 0.35)
-					wantUpdates := fresh.RunCounted(gens)
-					if stats.LiveUpdates != wantUpdates {
-						t.Errorf("live updates %d, want %d", stats.LiveUpdates, wantUpdates)
 					}
 				})
 			}
@@ -78,11 +83,7 @@ func TestDistMatchesParallelRunner(t *testing.T) {
 					t.Fatal(err)
 				}
 				dg := mk()
-				dr := &DistRunner{G: dg, Ranks: workers}
-				dstats, err := dr.Run(gens)
-				if err != nil {
-					t.Fatal(err)
-				}
+				dstats := runDist(t, &DistRunner{G: dg, Ranks: workers}, gens)
 				gridsMatch(t, "distributed vs parallel", dg, pg)
 				if dstats.LiveUpdates != pstats.LiveUpdates {
 					t.Errorf("live updates: dist %d, parallel %d", dstats.LiveUpdates, pstats.LiveUpdates)
@@ -105,42 +106,17 @@ func TestDistSurplusRanks(t *testing.T) {
 				}
 				g.Randomize(99, 0.4)
 				const gens = 5
-				want := referenceRun(g, gens)
-				fresh := g.Clone()
-				wantUpdates := fresh.RunCounted(gens)
-
+				want, wantUpdates := referenceRun(g, gens)
 				dr := &DistRunner{G: g, Ranks: 33}
-				stats, err := dr.Run(gens)
-				if err != nil {
-					t.Fatal(err)
-				}
+				stats := runDist(t, dr, gens)
 				if dr.Ranks != rows {
 					t.Errorf("ranks clamped to %d, want %d", dr.Ranks, rows)
 				}
 				gridsMatch(t, "surplus ranks", g, want)
-				if stats.LiveUpdates != wantUpdates {
-					t.Errorf("live updates %d, want %d", stats.LiveUpdates, wantUpdates)
-				}
+				updatesMatch(t, "surplus ranks", stats.LiveUpdates, wantUpdates)
 			})
 		}
 	}
-}
-
-// TestDistRendezvousCapacityUpgraded: a caller asking for capacity < 2
-// would deadlock the symmetric halo exchange, so the runner upgrades to its
-// eager default rather than hanging.
-func TestDistRendezvousCapacityUpgraded(t *testing.T) {
-	g, err := NewGrid(8, 8, Torus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Randomize(3, 0.3)
-	want := referenceRun(g, 4)
-	dr := &DistRunner{G: g, Ranks: 4, Capacity: 1}
-	if _, err := dr.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	gridsMatch(t, "capacity-upgraded run", g, want)
 }
 
 // TestDistCommStats sanity-checks the exposed traffic counters: a 4-rank
@@ -154,18 +130,17 @@ func TestDistCommStats(t *testing.T) {
 	g.Randomize(5, 0.3)
 	const gens, ranks = 3, 4
 	dr := &DistRunner{G: g, Ranks: ranks}
-	if _, err := dr.Run(gens); err != nil {
-		t.Fatal(err)
-	}
+	runDist(t, dr, gens)
 	ws := dr.CommStats
 	if len(ws.PerRank) != ranks {
 		t.Fatalf("stats for %d ranks, want %d", len(ws.PerRank), ranks)
 	}
-	// Halo traffic: ranks * 2 rows * gens * cols bytes. Block traffic:
-	// 2*(ranks-1) messages of 4 rows * cols. Allreduce adds messages but
-	// only 8-byte payloads.
-	haloBytes := int64(ranks * 2 * gens * g.Cols)
-	blockBytes := int64(2 * (ranks - 1) * 4 * g.Cols)
+	// A row is one 8-byte word at 10 columns. Halo traffic: ranks * 2 rows
+	// * gens. Block traffic: 2*(ranks-1) messages of 4 rows. Allreduce adds
+	// messages but only 8-byte payloads.
+	const rowBytes = 8
+	haloBytes := int64(ranks * 2 * gens * rowBytes)
+	blockBytes := int64(2 * (ranks - 1) * 4 * rowBytes)
 	wantMin := haloBytes + blockBytes
 	if ws.BytesSent < wantMin {
 		t.Errorf("world sent %d bytes, want >= %d", ws.BytesSent, wantMin)
@@ -189,9 +164,6 @@ func TestDistValidation(t *testing.T) {
 	if _, err := (&DistRunner{G: g, Ranks: 0}).Run(1); err == nil {
 		t.Error("0 ranks accepted")
 	}
-	if _, err := (&DistRunner{G: g, Ranks: 2, Partition: ByCols}).Run(1); err == nil {
-		t.Error("ByCols partition accepted")
-	}
 }
 
 // TestDistZeroGenerations: n = 0 is the identity, not corruption.
@@ -202,15 +174,38 @@ func TestDistZeroGenerations(t *testing.T) {
 	}
 	g.Randomize(11, 0.5)
 	want := g.Clone()
-	dr := &DistRunner{G: g, Ranks: 3}
-	stats, err := dr.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := runDist(t, &DistRunner{G: g, Ranks: 3}, 0)
 	if !g.Equal(want) {
 		t.Error("zero-generation run mutated the board")
 	}
 	if stats.LiveUpdates != 0 || g.Generation != 0 {
 		t.Errorf("stats %+v generation %d after zero generations", stats, g.Generation)
+	}
+}
+
+// TestDistFanInParentsNoDeadlock loops the case that used to deadlock on
+// multi-core hosts: 33 ranks over a 37x130 DeadEdges board. Ranks 21-28 are
+// 16+ halo hops from their collective parents 5 and 6, so they can finish
+// all 8 generations early and fill the parents' inboxes with Allreduce
+// contributions while 5 and 6 are still exchanging halos with each other.
+// Without msgpass's progress rule the two parents block sending to each
+// other; the armed watchdog turns any recurrence into a named cycle.
+func TestDistFanInParentsNoDeadlock(t *testing.T) {
+	const runs, gens = 300, 8
+	g, err := NewGrid(37, 130, DeadEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Randomize(42, 0.35)
+	want, wantUpdates := referenceRun(g, gens)
+	for i := 0; i < runs; i++ {
+		b := g.Clone()
+		stats, err := (&DistRunner{G: b, Ranks: 33, Watchdog: distTestWatchdog}).Run(gens)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err) // a DeadlockError names the cycle
+		}
+		if !b.Equal(want) || stats.LiveUpdates != wantUpdates {
+			t.Fatalf("run %d diverged from the per-cell reference", i)
+		}
 	}
 }

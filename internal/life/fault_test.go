@@ -2,7 +2,7 @@ package life
 
 // Fault-layer tests for the Life engines: chaos-injected stragglers and
 // full chaos matrices must leave the distributed runner bit-for-bit equal
-// to the serial engine (chaos perturbs timing, never results), and context
+// to the per-cell oracle (chaos perturbs timing, never results), and context
 // cancellation must stop both scale-out engines promptly without leaking a
 // single worker goroutine.
 
@@ -33,9 +33,7 @@ func TestDistStragglerBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(7, 0.35)
-	want := referenceRun(g, gens)
-	serial := g.Clone()
-	wantUpdates := serial.RunCounted(gens)
+	want, wantUpdates := referenceRun(g, gens)
 
 	dr := &DistRunner{
 		G:     g,
@@ -47,20 +45,15 @@ func TestDistStragglerBitForBit(t *testing.T) {
 			Ranks:     []int{1},
 		},
 	}
-	stats, err := dr.Run(gens)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := runDist(t, dr, gens)
 	gridsMatch(t, "straggler dist vs reference", g, want)
-	if stats.LiveUpdates != wantUpdates {
-		t.Errorf("live updates %d, want %d", stats.LiveUpdates, wantUpdates)
-	}
+	updatesMatch(t, "straggler dist vs reference", stats.LiveUpdates, wantUpdates)
 }
 
 // TestDistChaosMatrix is the chaos acceptance matrix: seeds 1..20 by world
 // sizes {2, 8, 33} (33 > rows exercises the surplus-rank clamp), each run
 // under delivery-delay and stall injection plus an armed watchdog, each
-// checked bit-for-bit against the serial engine. Any ordering the chaos
+// checked bit-for-bit against the per-cell oracle. Any ordering the chaos
 // schedules can legally produce must land on the same board.
 func TestDistChaosMatrix(t *testing.T) {
 	seeds := 20
@@ -73,9 +66,7 @@ func TestDistChaosMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh.Randomize(31, 0.3)
-	want := referenceRun(fresh, gens)
-	serial := fresh.Clone()
-	wantUpdates := serial.RunCounted(gens)
+	want, wantUpdates := referenceRun(fresh, gens)
 
 	for seed := 1; seed <= seeds; seed++ {
 		for _, ranks := range []int{2, 8, 33} {
@@ -99,14 +90,9 @@ func TestDistChaosMatrix(t *testing.T) {
 					},
 					Watchdog: 5 * time.Second,
 				}
-				stats, err := dr.Run(gens)
-				if err != nil {
-					t.Fatal(err)
-				}
+				stats := runDist(t, dr, gens)
 				gridsMatch(t, "chaos dist vs reference", g, want)
-				if stats.LiveUpdates != wantUpdates {
-					t.Errorf("live updates %d, want %d", stats.LiveUpdates, wantUpdates)
-				}
+				updatesMatch(t, "chaos dist vs reference", stats.LiveUpdates, wantUpdates)
 			})
 		}
 	}
@@ -130,7 +116,8 @@ func TestDistRunCtxCancel(t *testing.T) {
 		Ranks: 4,
 		// Stall every receive long enough that cancellation always lands
 		// mid-run.
-		Chaos: &msgpass.Chaos{Seed: 1, StallProb: 1, MaxStall: 20 * time.Millisecond},
+		Chaos:    &msgpass.Chaos{Seed: 1, StallProb: 1, MaxStall: 20 * time.Millisecond},
+		Watchdog: distTestWatchdog,
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -161,55 +148,48 @@ func TestDistRunCtxCancel(t *testing.T) {
 // worker stranded at a barrier), leaving the grid on a whole-generation
 // boundary.
 func TestParallelRunCtxCancel(t *testing.T) {
-	for _, reference := range []bool{false, true} {
-		reference := reference
-		name := "tree"
-		if reference {
-			name = "reference"
+	t.Run("tree", func(t *testing.T) {
+		g, err := NewGrid(256, 256, Torus)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			g, err := NewGrid(256, 256, Torus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.Randomize(5, 0.3)
-			baseline := pthread.Live()
+		g.Randomize(5, 0.3)
+		baseline := pthread.Live()
 
-			ctx, cancel := context.WithCancel(context.Background())
-			pr := &ParallelRunner{G: g, Threads: 4, Reference: reference}
-			done := make(chan error, 1)
-			go func() {
-				_, err := pr.RunCtx(ctx, 1_000_000)
-				done <- err
-			}()
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-			select {
-			case err := <-done:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("got %v, want context.Canceled", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("canceled parallel run did not return (worker stranded at a barrier?)")
+		ctx, cancel := context.WithCancel(context.Background())
+		pr := &ParallelRunner{G: g, Threads: 4}
+		done := make(chan error, 1)
+		go func() {
+			_, err := pr.RunCtx(ctx, 1_000_000)
+			done <- err
+		}()
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
 			}
-			if g.Generation >= 1_000_000 {
-				t.Error("run completed despite cancellation")
-			}
-			waitForLiveThreads(t, baseline)
+		case <-time.After(10 * time.Second):
+			t.Fatal("canceled parallel run did not return (worker stranded at a barrier?)")
+		}
+		if g.Generation >= 1_000_000 {
+			t.Error("run completed despite cancellation")
+		}
+		waitForLiveThreads(t, baseline)
 
-			// The grid must sit on a whole-generation boundary: advancing
-			// the serial reference to the same generation reproduces it.
-			fresh, err := NewGrid(256, 256, Torus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh.Randomize(5, 0.3)
-			fresh.Run(g.Generation)
-			if !g.Equal(fresh) {
-				t.Error("canceled run left the grid off a generation boundary")
-			}
-		})
-	}
+		// The grid must sit on a whole-generation boundary: advancing the
+		// serial engine to the same generation reproduces it.
+		fresh, err := NewGrid(256, 256, Torus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.Randomize(5, 0.3)
+		fresh.Run(g.Generation)
+		if !g.Equal(fresh) {
+			t.Error("canceled run left the grid off a generation boundary")
+		}
+	})
 }
 
 // TestParallelRunCtxPreCanceled: an already-canceled context refuses the
@@ -238,7 +218,7 @@ func TestDistWatchdogPassesCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(11, 0.3)
-	want := referenceRun(g, 5)
+	want, _ := referenceRun(g, 5)
 	dr := &DistRunner{G: g, Ranks: 4, Watchdog: 100 * time.Millisecond}
 	if _, err := dr.Run(5); err != nil {
 		t.Fatalf("watchdog tripped on a healthy run: %v", err)

@@ -264,9 +264,12 @@ func TestOwnerPartitioning(t *testing.T) {
 	if pr.Owner(0, 5) != 0 || pr.Owner(9, 5) != 2 {
 		t.Errorf("row owners: %d, %d", pr.Owner(0, 5), pr.Owner(9, 5))
 	}
-	prc := &ParallelRunner{G: g, Threads: 2, Partition: ByCols}
-	if prc.Owner(5, 0) != 0 || prc.Owner(5, 9) != 1 {
-		t.Errorf("col owners: %d, %d", prc.Owner(5, 0), prc.Owner(5, 9))
+	// ByCols tiles are 64-column word blocks, so two column owners need a
+	// board at least two words wide.
+	wide, _ := NewGrid(10, 130, Torus)
+	prc := &ParallelRunner{G: wide, Threads: 2, Partition: ByCols}
+	if prc.Owner(5, 0) != 0 || prc.Owner(5, 129) != 1 {
+		t.Errorf("col owners: %d, %d", prc.Owner(5, 0), prc.Owner(5, 129))
 	}
 	if ByRows.String() != "rows" || ByCols.String() != "columns" {
 		t.Error("partition names")

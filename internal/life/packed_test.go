@@ -1,29 +1,16 @@
 package life
 
-// Differential equivalence for the bit-packed SWAR kernel: every packed
-// engine — serial, parallel tiles, distributed bands — must be bit-for-bit
-// identical to the byte reference, boards AND live-update statistics, for
-// every edge mode, shape (especially ragged widths straddling word
-// boundaries), partition, thread count, and rank count. The byte kernel is
-// itself pinned to the per-cell reference in differential_test.go, so this
-// file closes the chain: per-cell → byte → packed.
+// Differential equivalence for the bit-packed SWAR kernel: every engine —
+// serial, parallel tiles, distributed bands — must be bit-for-bit identical
+// to the per-cell oracle (stepReference), boards AND live-update
+// statistics, for every edge mode, shape (especially ragged widths
+// straddling word boundaries), partition, thread count, and rank count.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
-
-// byteRun advances a byte-representation clone of g through the byte kernel
-// and returns the resulting grid plus its live-update count — the reference
-// every packed engine is held to.
-func byteRun(t testing.TB, g *Grid, gens int) (*Grid, int64) {
-	t.Helper()
-	ref := g.Clone()
-	if ref.Packed() {
-		ref.SetPacked(false)
-	}
-	return ref, ref.RunCounted(gens)
-}
 
 func TestPackedStepMatchesReference(t *testing.T) {
 	shapes := [][2]int{
@@ -40,12 +27,9 @@ func TestPackedStepMatchesReference(t *testing.T) {
 				}
 				g.Randomize(42, 0.35)
 				const gens = 8
-				want, wantUpdates := byteRun(t, g, gens)
-				g.SetPacked(true)
-				if got := g.RunCounted(gens); got != wantUpdates {
-					t.Errorf("packed live updates %d, byte kernel counted %d", got, wantUpdates)
-				}
-				gridsMatch(t, "packed serial kernel", g, want)
+				want, wantUpdates := referenceRun(g, gens)
+				updatesMatch(t, "serial kernel", g.RunCounted(gens), wantUpdates)
+				gridsMatch(t, "serial kernel", g, want)
 			})
 		}
 	}
@@ -68,11 +52,8 @@ func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
 					}
 					g.Randomize(int64(cols)*31+int64(density*10), density)
 					const gens = 6
-					want, wantUpdates := byteRun(t, g, gens)
-					g.SetPacked(true)
-					if got := g.RunCounted(gens); got != wantUpdates {
-						t.Errorf("packed live updates %d, byte kernel counted %d", got, wantUpdates)
-					}
+					want, wantUpdates := referenceRun(g, gens)
+					updatesMatch(t, "ragged width", g.RunCounted(gens), wantUpdates)
 					gridsMatch(t, "ragged width", g, want)
 				})
 			}
@@ -86,7 +67,7 @@ func TestPackedParallelMatchesReference(t *testing.T) {
 			for _, threads := range []int{1, 2, 8, 16, 33} {
 				mode, part, threads := mode, part, threads
 				t.Run(fmt.Sprintf("%v/%v/threads-%d", mode, part, threads), func(t *testing.T) {
-					// 19x130 : three words per row, so ByCols word-block tiling
+					// 19x130: three words per row, so ByCols word-block tiling
 					// has real interior seams; 33 threads exceeds both extents.
 					g, err := NewGrid(19, 130, mode)
 					if err != nil {
@@ -94,17 +75,14 @@ func TestPackedParallelMatchesReference(t *testing.T) {
 					}
 					g.Randomize(7, 0.3)
 					const gens = 6
-					want, wantUpdates := byteRun(t, g, gens)
-					g.SetPacked(true)
+					want, wantUpdates := referenceRun(g, gens)
 					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
 					stats, err := pr.Run(gens)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gridsMatch(t, "packed parallel kernel", g, want)
-					if stats.LiveUpdates != wantUpdates {
-						t.Errorf("packed parallel live updates %d, byte kernel counted %d", stats.LiveUpdates, wantUpdates)
-					}
+					gridsMatch(t, "parallel kernel", g, want)
+					updatesMatch(t, "parallel kernel", stats.LiveUpdates, wantUpdates)
 					if stats.Rounds != gens {
 						t.Errorf("rounds = %d, want %d", stats.Rounds, gens)
 					}
@@ -127,28 +105,20 @@ func TestPackedDistMatchesReference(t *testing.T) {
 					}
 					g.Randomize(42, 0.35)
 					const gens = 8
-					want, wantUpdates := byteRun(t, g, gens)
-					g.SetPacked(true)
-					dr := &DistRunner{G: g, Ranks: ranks}
-					stats, err := dr.Run(gens)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gridsMatch(t, "packed distributed kernel", g, want)
-					if stats.LiveUpdates != wantUpdates {
-						t.Errorf("packed dist live updates %d, byte kernel counted %d", stats.LiveUpdates, wantUpdates)
-					}
+					want, wantUpdates := referenceRun(g, gens)
+					stats := runDist(t, &DistRunner{G: g, Ranks: ranks}, gens)
+					gridsMatch(t, "distributed kernel", g, want)
+					updatesMatch(t, "distributed kernel", stats.LiveUpdates, wantUpdates)
 				})
 			}
 		}
 	}
 }
 
-// TestPackedDistHaloBytes pins the headline comm win: a packed halo row at
-// cols=4096 is 64 words = 512 bytes on the wire — 8x under the 4096-byte
-// byte row. The world's traffic counters must account for exactly the
-// packed protocol (halos + block distribution/collection + the 8-byte
-// allreduce payloads), proving no byte-representation traffic leaks in.
+// TestPackedDistHaloBytes pins the wire cost of the packed protocol: a halo
+// row at cols=4096 is 64 words = 512 bytes. The world's traffic counters
+// must account for exactly halos + block distribution/collection + the
+// 8-byte allreduce payloads.
 func TestPackedDistHaloBytes(t *testing.T) {
 	const rows, cols, ranks, gens = 16, 4096, 4, 3
 	g, err := NewGrid(rows, cols, Torus)
@@ -156,11 +126,8 @@ func TestPackedDistHaloBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(5, 0.3)
-	g.SetPacked(true)
 	dr := &DistRunner{G: g, Ranks: ranks}
-	if _, err := dr.Run(gens); err != nil {
-		t.Fatal(err)
-	}
+	runDist(t, dr, gens)
 	const rowBytes = (cols / 64) * 8 // 512: one packed halo row on the wire
 	if rowBytes != 512 {
 		t.Fatalf("packed halo row = %d bytes at cols=%d, want 512", rowBytes, cols)
@@ -173,12 +140,14 @@ func TestPackedDistHaloBytes(t *testing.T) {
 		t.Errorf("world sent %d bytes, want >= %d", ws.BytesSent, wantMin)
 	}
 	if ws.BytesSent > wantMin+int64(ranks*64) {
-		t.Errorf("world sent %d bytes, want close to %d (allreduce overhead only) — byte-width traffic leaked into the packed protocol?", ws.BytesSent, wantMin)
+		t.Errorf("world sent %d bytes, want close to %d (allreduce overhead only)", ws.BytesSent, wantMin)
 	}
 }
 
-// TestPackRoundTrip: pack → unpack is the identity, and the packed accessors
-// (Set, Alive, Population) agree with the byte representation.
+// TestPackRoundTrip: the String rendering of a packed board, read back cell
+// by cell through Set, rebuilds the same board, and the packed accessors
+// (Set, Alive, Population) agree with it — including the last column,
+// which sits in a ragged word for most of these widths.
 func TestPackRoundTrip(t *testing.T) {
 	for _, cols := range []int{1, 63, 64, 65, 130} {
 		cols := cols
@@ -188,19 +157,29 @@ func TestPackRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			g.Randomize(3, 0.45)
-			want := g.Clone()
-			pop := g.Population()
-			g.SetPacked(true)
-			if g.Population() != pop {
-				t.Errorf("packed Population = %d, byte counted %d", g.Population(), pop)
+			rendered := g.String()
+			back, err := NewGrid(11, cols, Torus)
+			if err != nil {
+				t.Fatal(err)
 			}
-			g.Set(0, cols-1, true)
-			if !g.Alive(0, cols-1) {
-				t.Error("packed Set/Alive lost the last column")
+			for r, line := range strings.Split(strings.TrimSuffix(rendered, "\n"), "\n") {
+				for c, ch := range line {
+					if err := back.Set(r, c, ch == '@'); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			g.Set(0, cols-1, want.Alive(0, cols-1))
-			g.SetPacked(false)
-			gridsMatch(t, "pack/unpack round trip", g, want)
+			gridsMatch(t, "String/Set round trip", back, g)
+			if pop, want := g.Population(), strings.Count(rendered, "@"); pop != want {
+				t.Errorf("Population = %d, rendering shows %d live cells", pop, want)
+			}
+			last := g.Alive(0, cols-1)
+			g.Set(0, cols-1, !last)
+			if g.Alive(0, cols-1) == last {
+				t.Error("Set/Alive lost the last column")
+			}
+			g.Set(0, cols-1, last)
+			gridsMatch(t, "Set restore", g, back)
 		})
 	}
 }
@@ -215,69 +194,47 @@ func TestPackedSlackLanesStayZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Randomize(9, 0.5)
-		g.SetPacked(true)
 		g.Run(5)
 		mask := lastWordMask(cols)
 		for r := 0; r < g.Rows; r++ {
-			if w := g.pcells[r*g.wpr+g.wpr-1]; w&^mask != 0 {
+			if w := g.cells[r*g.wpr+g.wpr-1]; w&^mask != 0 {
 				t.Fatalf("cols=%d row %d: slack lanes set in %#x (mask %#x)", cols, r, w, mask)
 			}
 		}
 	}
 }
 
-// TestPackedClonePreservesRepresentation: Clone of a packed grid is packed,
-// independent, and equal.
+// TestPackedClonePreservesRepresentation: a Clone holds the same packed
+// words and is independent of the original.
 func TestPackedClonePreservesRepresentation(t *testing.T) {
 	g, err := NewGrid(9, 70, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(21, 0.4)
-	g.SetPacked(true)
 	c := g.Clone()
-	if !c.Packed() {
-		t.Fatal("clone of a packed grid is not packed")
-	}
-	gridsMatch(t, "packed clone", c, g)
+	gridsMatch(t, "clone", c, g)
 	c.Step()
 	if c.Equal(g) {
-		t.Error("stepping the clone mutated the original (shared packed buffers?)")
-	}
-}
-
-// TestPackedReferenceRunnerRejected: the byte kernel IS the packed path's
-// reference, so the retained two-barrier reference runner refuses packed
-// grids rather than silently comparing packed against packed.
-func TestPackedReferenceRunnerRejected(t *testing.T) {
-	g, err := NewGrid(8, 8, Torus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetPacked(true)
-	pr := &ParallelRunner{G: g, Threads: 2, Reference: true}
-	if _, err := pr.Run(1); err == nil {
-		t.Error("reference runner accepted a packed grid")
+		t.Error("stepping the clone mutated the original (shared buffers?)")
 	}
 }
 
 // TestPackedStepAllocates pins the SWAR kernel's hot loop at zero
-// allocations, matching the byte kernel's guarantee.
+// allocations on a multi-word, ragged board.
 func TestPackedStepAllocates(t *testing.T) {
 	g, err := NewGrid(64, 130, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(3, 0.3)
-	g.SetPacked(true)
 	if avg := testing.AllocsPerRun(50, func() { g.Step() }); avg != 0 {
-		t.Errorf("packed Step allocates %.1f objects per generation, want 0", avg)
+		t.Errorf("Step allocates %.1f objects per generation, want 0", avg)
 	}
 }
 
-// FuzzPackedLife round-trips pack/unpack on arbitrary boards and holds the
-// packed kernel bit-for-bit to the byte kernel — boards and stats — across
-// fuzzer-chosen shapes, modes, and densities.
+// FuzzPackedLife holds the SWAR kernel bit-for-bit to the per-cell oracle —
+// boards and stats — across fuzzer-chosen shapes, modes, and densities.
 func FuzzPackedLife(f *testing.F) {
 	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128))
 	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64))
@@ -293,24 +250,13 @@ func FuzzPackedLife(f *testing.F) {
 			t.Fatal(err)
 		}
 		g.Randomize(seed, density)
-		orig := g.Clone()
-
-		// Round trip: pack then unpack must be the identity.
-		g.SetPacked(true)
-		g.SetPacked(false)
-		if !g.Equal(orig) {
-			t.Fatalf("pack/unpack round trip corrupted a %dx%d board", rows, cols)
-		}
-
-		// Differential step: packed vs byte kernel, boards and stats.
 		const gens = 3
-		want, wantUpdates := byteRun(t, g, gens)
-		g.SetPacked(true)
+		want, wantUpdates := referenceRun(g, gens)
 		if got := g.RunCounted(gens); got != wantUpdates {
-			t.Errorf("%dx%d %v: packed live updates %d, byte kernel counted %d", rows, cols, mode, got, wantUpdates)
+			t.Errorf("%dx%d %v: live updates %d, per-cell reference counted %d", rows, cols, mode, got, wantUpdates)
 		}
 		if !g.Equal(want) {
-			t.Errorf("%dx%d %v: packed board diverged from byte kernel", rows, cols, mode)
+			t.Errorf("%dx%d %v: SWAR board diverged from the per-cell reference", rows, cols, mode)
 		}
 	})
 }

@@ -103,17 +103,12 @@ func TestDistRunnerTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(11, 0.3)
-	ref := g.Clone()
+	ref, refUpdates := referenceRun(g, gens)
 
 	tr := obs.New()
-	dr := &DistRunner{G: g, Ranks: ranks, Trace: tr}
-	stats, err := dr.Run(gens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refUpdates := ref.RunCounted(gens)
+	stats := runDist(t, &DistRunner{G: g, Ranks: ranks, Trace: tr}, gens)
 	if !g.Equal(ref) || stats.LiveUpdates != refUpdates {
-		t.Fatalf("traced run diverged from serial reference")
+		t.Fatalf("traced run diverged from the per-cell reference")
 	}
 
 	var buf bytes.Buffer
@@ -164,7 +159,7 @@ func TestDistRunnerTrace(t *testing.T) {
 }
 
 // TestDistRunnerTracePacked re-runs the traced distributed protocol on
-// the bit-packed representation: same lanes, same runner-level golden.
+// multi-word packed rows: same lanes, same runner-level golden.
 func TestDistRunnerTracePacked(t *testing.T) {
 	const ranks, gens = 2, 3
 	g, err := NewGrid(10, 130, Torus) // cols > 64 exercises multi-word rows
@@ -172,13 +167,9 @@ func TestDistRunnerTracePacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(13, 0.3)
-	g.SetPacked(true)
 
 	tr := obs.New()
-	dr := &DistRunner{G: g, Ranks: ranks, Trace: tr}
-	if _, err := dr.Run(gens); err != nil {
-		t.Fatal(err)
-	}
+	runDist(t, &DistRunner{G: g, Ranks: ranks, Trace: tr}, gens)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {

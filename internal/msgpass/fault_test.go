@@ -88,6 +88,59 @@ func TestHeadToHeadDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestParkedSenderDrainsOwnInbox is the progress rule: in a buffered world a
+// sender parked on a full inbox keeps receiving. Rank 2 fills the inboxes of
+// ranks 0 and 1 to capacity; then 0 and 1 send to each other. Each send
+// parks on a full inbox, so without the rule the pair is a send-send cycle
+// the watchdog reports; with it each parked sender drains its own inbox and
+// both sends land. The drained messages must still arrive in send order.
+func TestParkedSenderDrainsOwnInbox(t *testing.T) {
+	const capacity = 2
+	w, err := NewWorld(3, WithCapacity(capacity), WithWatchdog(watchdogTick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := make(chan struct{})
+	err = w.Run(func(c *Comm) error {
+		if c.Rank() == 2 {
+			for _, dst := range []int{0, 1} {
+				for i := 0; i < capacity; i++ {
+					if err := Send(c, dst, 7, i); err != nil {
+						return err
+					}
+				}
+			}
+			close(filled)
+			return nil
+		}
+		<-filled
+		peer := 1 - c.Rank()
+		if err := Send(c, peer, 1, c.Rank()); err != nil {
+			return err
+		}
+		got, err := Recv[int](c, peer, 1)
+		if err != nil {
+			return err
+		}
+		if got != peer {
+			return fmt.Errorf("rank %d got %d from peer %d", c.Rank(), got, peer)
+		}
+		for i := 0; i < capacity; i++ {
+			v, err := Recv[int](c, 2, 7)
+			if err != nil {
+				return err
+			}
+			if v != i {
+				return fmt.Errorf("rank %d: message %d from rank 2 is %d (order lost)", c.Rank(), i, v)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("buffered exchange over full inboxes failed: %v", err)
+	}
+}
+
 // TestOrphanedRecvDetected: a receive from a rank whose function has
 // already returned (and that left nothing in flight) can never be
 // satisfied. The watchdog reports it as an orphaned wait, not a cycle.

@@ -17,7 +17,10 @@
 //     buffered); capacity 0 gives rendezvous sends (Send blocks until the
 //     receiver is actively draining its inbox) — both semantics are
 //     testable, and symmetric exchanges that are safe under eager buffering
-//     deadlock under rendezvous exactly as they would under MPI_Ssend.
+//     deadlock under rendezvous exactly as they would under MPI_Ssend. An
+//     eager sender parked on a full inbox keeps draining its own inbox
+//     (MPI's progress rule), so inboxes filled by unrelated traffic cannot
+//     wedge two senders against each other.
 //   - Collectives must be called by every rank of the world in the same
 //     order. They are built on the point-to-point layer in a reserved
 //     negative tag space, combining fan-in-barrierFanIn trees — the same
@@ -469,9 +472,11 @@ func payloadBytes(v any) int64 {
 // Send delivers payload to rank dest under tag. User tags must be
 // non-negative (negative tags are the collectives' reserved space). With a
 // buffered inbox the send is eager; with capacity 0 it blocks until dest
-// drains it (rendezvous). Sending to yourself requires free inbox capacity
-// — a rendezvous self-send deadlocks, exactly as in MPI, and is what the
-// watchdog reports as a one-rank cycle.
+// drains it (rendezvous). A buffered sender parked on a full inbox keeps
+// moving its own arrivals into its pending queue (the progress rule, see
+// sendBlocked), so a full inbox never stalls two senders on each other and
+// an eager self-send always completes. A rendezvous self-send deadlocks,
+// exactly as in MPI, and is what the watchdog reports as a one-rank cycle.
 func (c *Comm) Send(dest, tag int, payload any) error {
 	if err := c.checkRank("send", dest); err != nil {
 		return err
@@ -532,17 +537,33 @@ func (c *Comm) sendMsg(dest, tag int, payload any) error {
 	return nil
 }
 
-// sendBlocked is the parked half of send.
+// sendBlocked is the parked half of send. In a buffered world it applies
+// MPI's progress rule: while parked, the sender keeps draining its own
+// inbox into pending, exactly as a blocked receive does. Without it two
+// neighbours whose inboxes are full of someone else's traffic (say
+// collective contributions from ranks that ran ahead) each block sending to
+// the other and neither ever receives. A rendezvous world (capacity 0)
+// keeps MPI_Ssend semantics: the parked sender does not receive, so a
+// head-to-head or self send still deadlocks.
 func (c *Comm) sendBlocked(dst *Comm, env envelope) error {
-	select {
-	case dst.inbox <- env:
-		return nil
-	case <-c.world.abort:
-		return c.world.abortError(c.rank, "send", dst.rank, env.tag)
-	case <-dst.failed:
-		return &RankFailedError{Rank: dst.rank}
-	case <-c.failed:
-		return &RankFailedError{Rank: c.rank}
+	var own chan envelope // nil (never ready) unless the world is buffered
+	if cap(c.inbox) > 0 {
+		own = c.inbox
+	}
+	for {
+		select {
+		case dst.inbox <- env:
+			return nil
+		case arrived := <-own:
+			c.pending = append(c.pending, arrived)
+			c.stirWait()
+		case <-c.world.abort:
+			return c.world.abortError(c.rank, "send", dst.rank, env.tag)
+		case <-dst.failed:
+			return &RankFailedError{Rank: dst.rank}
+		case <-c.failed:
+			return &RankFailedError{Rank: c.rank}
+		}
 	}
 }
 

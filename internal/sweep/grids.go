@@ -22,17 +22,13 @@ type LifeCase struct {
 	Gens       int
 	Seed       int64
 	Density    float64
-	Dist       bool // run the message-passing DistRunner instead of shared-memory threads
-	Packed     bool // advance through the bit-packed SWAR kernel instead of the byte kernel
+	Dist       bool // run the message-passing DistRunner (ByRows only) instead of shared-memory threads
 }
 
 func (c LifeCase) String() string {
 	s := fmt.Sprintf("%dx%d/%v/threads-%d", c.Rows, c.Cols, c.Partition, c.Threads)
 	if c.Dist {
 		s = fmt.Sprintf("%dx%d/%v/ranks-%d/dist", c.Rows, c.Cols, c.Partition, c.Threads)
-	}
-	if c.Packed {
-		s += "/packed"
 	}
 	return s
 }
@@ -88,12 +84,6 @@ func RunLifeGrid(ctx context.Context, workers int, cases []LifeCase) ([]LifeResu
 			return LifeResult{}, err
 		}
 		g.Randomize(c.Seed, c.Density)
-		if c.Packed {
-			// Randomize fills the byte board first, so byte and packed cases
-			// with the same seed start from identical boards — the sweep's
-			// results double as a cross-representation differential.
-			g.SetPacked(true)
-		}
 		res := LifeResult{Case: c}
 		switch {
 		case c.Threads <= 1:
@@ -114,7 +104,10 @@ func RunLifeGrid(ctx context.Context, workers int, cases []LifeCase) ([]LifeResu
 				done += step
 			}
 		case c.Dist:
-			dr := &life.DistRunner{G: g, Ranks: c.Threads, Partition: c.Partition}
+			if c.Partition != life.ByRows {
+				return res, fmt.Errorf("life case %s: the dist engine shards by rows only", c)
+			}
+			dr := &life.DistRunner{G: g, Ranks: c.Threads}
 			stats, err := dr.RunCtx(ctx, c.Gens)
 			if err != nil {
 				return res, err

@@ -174,10 +174,10 @@ func TestLifeGridDifferential(t *testing.T) {
 	}
 }
 
-// TestPackedLifeGridDifferential marks grid points packed and holds every
-// engine the sweep dispatches — packed serial, packed ParallelRunner, packed
-// DistRunner — to the byte kernel's count on the same seeded board. Width 70
-// keeps a ragged final word in play.
+// TestPackedLifeGridDifferential holds every engine the sweep dispatches —
+// serial, ParallelRunner on rows and 64-column word tiles, DistRunner — to
+// the serial engine's count on a seeded board whose width 70 keeps a ragged
+// final word in play (and gives ByCols two word tiles).
 func TestPackedLifeGridDifferential(t *testing.T) {
 	const (
 		gens    = 5
@@ -187,9 +187,6 @@ func TestPackedLifeGridDifferential(t *testing.T) {
 	cases := LifeGrid([][2]int{{16, 70}}, []int{1, 4, 33}, []life.Partition{life.ByRows, life.ByCols}, gens, seed, density)
 	dist := DistLifeGrid([][2]int{{16, 70}}, []int{4}, gens, seed, density)
 	cases = append(cases, dist...)
-	for i := range cases {
-		cases[i].Packed = true
-	}
 	results, err := RunLifeGrid(context.Background(), 4, cases)
 	if err != nil {
 		t.Fatal(err)
@@ -203,10 +200,10 @@ func TestPackedLifeGridDifferential(t *testing.T) {
 		serial.Randomize(c.Seed, c.Density)
 		wantUpdates := serial.RunCounted(c.Gens)
 		if res.LiveUpdates != wantUpdates {
-			t.Errorf("%v: LiveUpdates = %d, byte kernel counted %d", c, res.LiveUpdates, wantUpdates)
+			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
 		}
 		if res.Population != serial.Population() {
-			t.Errorf("%v: population = %d, byte kernel has %d", c, res.Population, serial.Population())
+			t.Errorf("%v: population = %d, serial engine has %d", c, res.Population, serial.Population())
 		}
 	}
 }
@@ -253,6 +250,16 @@ func TestDistLifeGridDifferential(t *testing.T) {
 		if res.Population != serial.Population() {
 			t.Errorf("%v: population = %d, serial engine has %d", c, res.Population, serial.Population())
 		}
+	}
+}
+
+// TestDistLifeCaseRejectsColumns: the message-passing engine shards by rows
+// only, so a Dist case asking for a column partition is an error, not a
+// silent row run.
+func TestDistLifeCaseRejectsColumns(t *testing.T) {
+	c := LifeCase{Rows: 8, Cols: 8, Threads: 2, Partition: life.ByCols, Gens: 1, Dist: true}
+	if _, err := RunLifeGrid(context.Background(), 1, []LifeCase{c}); err == nil {
+		t.Error("dist case with a column partition ran")
 	}
 }
 
