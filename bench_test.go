@@ -4,7 +4,8 @@
 //
 //	Table I   — BenchmarkTable1Coverage
 //	Figure 1  — BenchmarkFigure1Survey
-//	Claim C1  — BenchmarkLifeSpeedup (measured) + BenchmarkLifeSpeedupModel
+//	Claim C1  — BenchmarkLifeScaling (real cores), BenchmarkLifeSpeedup
+//	            (measured, small board) + BenchmarkLifeSpeedupModel
 //	Claim C2  — BenchmarkAmdahl
 //	Claim C3  — BenchmarkCounter
 //	Claim C4  — BenchmarkCacheStride
@@ -24,6 +25,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -102,6 +104,61 @@ func BenchmarkLifeSpeedup(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkLifeScaling measures claim C1 on real cores: one op is 32
+// generations of a 2048x2048 torus through ParallelRunner (row tiles), a
+// board where the kernel dominates the barrier, at 1, 2, 4, ... threads up
+// to NumCPU. measured-speedup and measured-efficiency-% are wall-clock
+// ratios against threads-1, and measured-barrier-wait-% is the share of
+// the workers' time spent crossing barriers (the BarrierWaits histogram's
+// sum over threads x wall time); all three are volatile, so benchdiff
+// never pins them. live-updates is deterministic and must be equal at
+// every thread count.
+func BenchmarkLifeScaling(b *testing.B) {
+	template, err := life.NewGrid(2048, 2048, life.Torus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	template.Randomize(53, 0.3)
+	const gens = 32
+	threadCounts := []int{}
+	for n := 1; n < runtime.NumCPU(); n *= 2 {
+		threadCounts = append(threadCounts, n)
+	}
+	threadCounts = append(threadCounts, runtime.NumCPU())
+	var serialNs float64
+	for _, threads := range threadCounts {
+		threads := threads
+		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
+			waits := obs.NewHistogram(threads)
+			var updates int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := template.Clone()
+				b.StartTimer()
+				pr := &life.ParallelRunner{G: g, Threads: threads, BarrierWaits: waits}
+				stats, err := pr.Run(gens)
+				if err != nil {
+					b.Fatal(err)
+				}
+				updates = stats.LiveUpdates
+			}
+			b.StopTimer()
+			elapsed := float64(b.Elapsed().Nanoseconds())
+			if threads == 1 {
+				serialNs = elapsed / float64(b.N)
+			}
+			if serialNs > 0 && elapsed > 0 {
+				speedup := serialNs / (elapsed / float64(b.N))
+				b.ReportMetric(speedup, "measured-speedup")
+				b.ReportMetric(100*speedup/float64(threads), "measured-efficiency-%")
+				b.ReportMetric(100*float64(waits.Snapshot().Sum)/(elapsed*float64(threads)), "measured-barrier-wait-%")
+			}
+			b.ReportMetric(float64(updates), "live-updates")
 		})
 	}
 }
@@ -339,9 +396,10 @@ func BenchmarkBarrierWait(b *testing.B) {
 }
 
 // BenchmarkPackedLife times the bit-packed SWAR kernel (64 cells per word,
-// full-adder neighbor counting) through all three engines on the same seeded
-// 192x192 board, so every live-updates metric must agree across engines — a
-// cross-engine differential baked into the baseline gate. One op is a
+// each word's column sums added once and slid through a register window)
+// through all three engines on the same seeded 192x192 board, so every
+// live-updates metric must agree across engines — a cross-engine
+// differential baked into the baseline gate. One op is a
 // 4-generation run on a fresh clone. The serial path must not allocate
 // (clones happen under StopTimer); dist-8 additionally reports comm-bytes,
 // pricing the packed halo/block traffic and the stats Allreduce of one op.

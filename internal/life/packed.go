@@ -10,20 +10,24 @@ package life
 // the kernel's edge-word mask all maintain the invariant, and every shifted
 // neighbor gather relies on it.
 //
-// Neighbor counting is branch-free boolean algebra. For one output word the
-// kernel gathers nine aligned masks — the three source rows (up, current,
-// down; ghost rows synthesized per edge mode), each in three horizontal
-// alignments (west neighbor, center, east neighbor; ghost columns OR'd into
-// the row-edge words) — and adds them with bitwise full-adder chains into
-// three bit planes n0/n1/n2 (1s, 2s, 4s). The plane arithmetic saturates
-// the one overflow case (neighbor count 8 is represented as 4), which is
-// harmless because both counts mean death. The birth/survival rule then
-// resolves without a single per-cell branch:
+// Neighbor counting is branch-free boolean algebra over a sliding window
+// of column sums. For each source word the kernel adds its three rows (up,
+// current, down; ghost rows synthesized per edge mode) lane by lane with
+// one full adder, giving the 0..3 live count of each of its 64 columns as
+// two bit planes. It keeps the planes of the west, own and east words in
+// registers as it walks a row, so each source word is loaded and summed
+// once. Shifting the planes one lane each way (the neighbor word's edge
+// bit, or a ghost column at the row's ends, fills the vacated lane) lines
+// up the column sums at j-1, j and j+1; adding those three 2-bit
+// numbers gives count9, the live count of each cell's 3x3 block, the cell
+// itself included. Since count9 is the neighbor count plus the cell, the
+// Lab 10 rule becomes
 //
-//	next = n1 & ~n2 & (n0 | current)
+//	next = (count9 == 3) | (current & count9 == 4)
 //
-// i.e. alive next iff the count is exactly 3, or exactly 2 with the cell
-// already live. Live-update statistics come back for free as
+// evaluated on the planes for 64 cells at once. The row's first and last
+// words take their ghost columns outside the inner loop, which therefore
+// has no per-word branch. Live-update statistics come back for free as
 // bits.OnesCount64(next ^ current) per word.
 
 import "math/bits"
@@ -98,13 +102,14 @@ func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, m
 	}
 	lastLane := uint(cols-1) & 63
 	lastMask := lastWordMask(cols)
+	end := min(hiW, wpr-1) // the row's last word, if in the tile, runs after the loop
 	var changed int64
 	for r := loRow; r < hiRow; r++ {
 		base := r * wpr
 		cur := src[base : base+wpr]
-		out := dst[base : base+wpr]
-		up := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r-1)
-		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)
+		out := dst[base : base+wpr][:len(cur)]
+		up := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r-1)[:len(cur)]
+		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)[:len(cur)]
 		// Ghost columns are per-row: a ghost row's own ghost corners come
 		// from that row (e.g. the torus corner is the wrapped row's far
 		// cell), matching the per-cell rule's independent row/column
@@ -112,63 +117,66 @@ func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, m
 		uw, ue := packedGhostCols(up, mode, lastLane)
 		cw, ce := packedGhostCols(cur, mode, lastLane)
 		dw, de := packedGhostCols(down, mode, lastLane)
-		for w := loW; w < hiW; w++ {
-			uc, cc, dc := up[w], cur[w], down[w]
-			// West-aligned neighbors: lane j receives column j-1. The low
-			// lane takes the previous word's top bit, or the ghost column
-			// at the row's west edge.
-			var ul, cl, dl uint64
-			if w > 0 {
-				ul = uc<<1 | up[w-1]>>63
-				cl = cc<<1 | cur[w-1]>>63
-				dl = dc<<1 | down[w-1]>>63
-			} else {
-				ul = uc<<1 | uw
-				cl = cc<<1 | cw
-				dl = dc<<1 | dw
-			}
-			// East-aligned neighbors: lane j receives column j+1. The top
-			// valid lane takes the next word's low bit, or the ghost column
-			// at the row's east edge (slack lanes above it are zero by
-			// invariant, so the OR lands on clean bits).
-			var ur, cr, dr uint64
-			if w < wpr-1 {
-				ur = uc>>1 | up[w+1]<<63
-				cr = cc>>1 | cur[w+1]<<63
-				dr = dc>>1 | down[w+1]<<63
-			} else {
-				ur = uc>>1 | ue<<lastLane
-				cr = cc>>1 | ce<<lastLane
-				dr = dc>>1 | de<<lastLane
-			}
-			// Full-adder chains. Row triples first: a (up row) and b (down
-			// row) are 2-bit sums of three lanes; c (current row) sums only
-			// the two horizontal neighbors — the center cell is not its own
-			// neighbor.
-			a0 := ul ^ uc ^ ur
-			a1 := (ul & uc) | (ur & (ul ^ uc))
-			b0 := dl ^ dc ^ dr
-			b1 := (dl & dc) | (dr & (dl ^ dc))
-			c0 := cl ^ cr
-			c1 := cl & cr
-			// Combine the three partial sums into planes n0 (1s), n1 (2s),
-			// n2 (4s). k0 carries from the ones plane; k1/k2 are the twos
-			// plane's carries, OR'd into n2 — their only simultaneous case
-			// represents count 8 as 4, dead either way.
-			n0 := a0 ^ b0 ^ c0
-			k0 := (a0 & b0) | (c0 & (a0 ^ b0))
-			s := a1 ^ b1 ^ c1
-			k1 := (a1 & b1) | (c1 & (a1 ^ b1))
-			n1 := s ^ k0
-			k2 := s & k0
-			n2 := k1 | k2
-			next := n1 &^ n2 & (n0 | cc)
-			if w == wpr-1 {
-				next &= lastMask
-			}
-			out[w] = next
+		// The window: p = the west word's column sums, c = the own word's
+		// (cc its current-row word). Word loW's west context is word
+		// loW-1, or the west ghost column parked in lane 63, where the
+		// west shift picks up its top bit.
+		p0, p1 := colSum(uw<<63, cw<<63, dw<<63)
+		if loW > 0 {
+			p0, p1 = colSum(up[loW-1], cur[loW-1], down[loW-1])
+		}
+		cc := cur[loW]
+		c0, c1 := colSum(up[loW], cc, down[loW])
+		// Words before end have their east neighbor in the row: nu, nc
+		// and nd are the source rows shifted one word east. All four
+		// slices have length end, so the loop needs no bounds checks.
+		o, nu, nc, nd := out[:end], up[1:end+1], cur[1:end+1], down[1:end+1]
+		for w := loW; w < len(o); w++ {
+			ncw := nc[w]
+			n0, n1 := colSum(nu[w], ncw, nd[w])
+			next := lifeWord(c0<<1|p0>>63, c1<<1|p1>>63, c0, c1, c0>>1|n0<<63, c1>>1|n1<<63, cc)
+			o[w] = next
+			changed += int64(bits.OnesCount64(next ^ cc))
+			p0, p1, c0, c1, cc = c0, c1, n0, n1, ncw
+		}
+		if hiW == wpr {
+			// The row's last word: the east ghost column lands on the top
+			// valid lane (slack lanes above it are zero by invariant), and
+			// the mask clears the slack lanes the shifts spill into.
+			e0, e1 := colSum(ue, ce, de)
+			next := lifeWord(c0<<1|p0>>63, c1<<1|p1>>63, c0, c1, c0>>1|e0<<lastLane, c1>>1|e1<<lastLane, cc) & lastMask
+			out[wpr-1] = next
 			changed += int64(bits.OnesCount64(next ^ cc))
 		}
 	}
 	return changed
+}
+
+// colSum adds three vertically stacked words lane by lane: the sum
+// u+c+d (0..3) of each of 64 columns comes back as bit planes s0 (1s) and
+// s1 (2s) — a full adder.
+func colSum(u, c, d uint64) (s0, s1 uint64) {
+	x := u ^ c
+	return x ^ d, u&c | d&x
+}
+
+// lifeWord applies the rule to 64 cells at once. Its inputs are the
+// column-sum planes aligned on the west neighbor (w), the cell's own
+// column (c) and the east neighbor (e); their sum count9 is the live count
+// of the 3x3 block, the cell itself included. Alive next iff count9 == 3,
+// or count9 == 4 with the cell live — the Lab 10 rule, since count9 is the
+// neighbor count plus the cell.
+func lifeWord(w0, w1, c0, c1, e0, e1, cur uint64) uint64 {
+	// count9 = s0 + 2*t with t = w1+c1+e1+k in 0..4 (k carries the 1s).
+	x := w0 ^ c0
+	s0 := x ^ e0
+	k := w0&c0 | e0&x
+	y := w1 ^ c1
+	ta := y ^ e1        // 1s of w1+c1+e1
+	tc := w1&c1 | e1&y  // 2s of w1+c1+e1
+	t0 := ta ^ k        // t's 1s
+	t1 := tc ^ (ta & k) // t's 2s; t is 1 or 2 iff exactly one of t0, t1
+	// t == 1 (count9 3) needs s0 set; t == 2 (count9 4) needs s0 clear
+	// and the cell live. s0 == t0 selects the case, s0|cur the liveness.
+	return (t0 ^ t1) &^ (s0 ^ t0) & (s0 | cur)
 }

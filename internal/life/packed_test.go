@@ -184,6 +184,49 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 }
 
+// stepWordTiles advances g one generation as three column tiles, words
+// [0,lo), [lo,hi) and [hi,wpr), each a separate stepPackedSlices call over
+// every row, and returns the summed change counts.
+func stepWordTiles(g *Grid, lo, hi int) int64 {
+	var changed int64
+	for _, t := range [][2]int{{0, lo}, {lo, hi}, {hi, g.wpr}} {
+		changed += stepPackedSlices(g.cells, g.next, g.zeroRow, g.oneRow, g.Rows, g.Cols, g.wpr, g.Mode, 0, g.Rows, t[0], t[1])
+	}
+	g.swap()
+	return changed
+}
+
+// TestPackedTilesMatchesReference holds the kernel's tile contract to the
+// oracle: for every split of a row's words into three tiles (empty tiles
+// included), the stitched board and the summed change counts equal one
+// per-cell generation. The widths put a tile edge on, just before and
+// just after every word boundary, so each tile's first word takes its west
+// context from a neighbor word or the ghost column, and the row's last
+// word runs with and without a preceding loop.
+func TestPackedTilesMatchesReference(t *testing.T) {
+	for _, mode := range allModes {
+		for _, cols := range []int{1, 2, 63, 64, 65, 127, 128, 129, 130, 191, 193} {
+			mode, cols := mode, cols
+			t.Run(fmt.Sprintf("%v/cols-%d", mode, cols), func(t *testing.T) {
+				g, err := NewGrid(6, cols, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.Randomize(int64(cols)+int64(mode)*1000, 0.4)
+				want, wantUpdates := referenceRun(g, 1)
+				for lo := 0; lo <= g.wpr; lo++ {
+					for hi := lo; hi <= g.wpr; hi++ {
+						got := g.Clone()
+						label := fmt.Sprintf("tiles [0,%d) [%d,%d) [%d,%d)", lo, lo, hi, hi, g.wpr)
+						updatesMatch(t, label, stepWordTiles(got, lo, hi), wantUpdates)
+						gridsMatch(t, label, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestPackedSlackLanesStayZero guards the representation invariant every
 // shifted gather relies on: after stepping, the slack lanes of each row's
 // final word are zero.
@@ -234,13 +277,15 @@ func TestPackedStepAllocates(t *testing.T) {
 }
 
 // FuzzPackedLife holds the SWAR kernel bit-for-bit to the per-cell oracle —
-// boards and stats — across fuzzer-chosen shapes, modes, and densities.
+// boards and stats — across fuzzer-chosen shapes, modes, and densities,
+// both as one whole-board tile and split into three fuzzer-chosen word
+// tiles.
 func FuzzPackedLife(f *testing.F) {
-	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128))
-	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64))
-	f.Add(uint8(9), uint8(127), uint8(2), int64(7), uint8(200))
-	f.Add(uint8(16), uint8(64), uint8(3), int64(99), uint8(25))
-	f.Fuzz(func(t *testing.T, rowsB, colsB, modeB uint8, seed int64, densityB uint8) {
+	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128), uint8(0), uint8(1))
+	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64), uint8(1), uint8(0))
+	f.Add(uint8(9), uint8(127), uint8(2), int64(7), uint8(200), uint8(1), uint8(1))
+	f.Add(uint8(16), uint8(64), uint8(3), int64(99), uint8(25), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, rowsB, colsB, modeB uint8, seed int64, densityB, loB, hiB uint8) {
 		rows := int(rowsB)%48 + 1
 		cols := int(colsB)%140 + 1
 		mode := EdgeMode(int(modeB) % 4)
@@ -250,6 +295,9 @@ func FuzzPackedLife(f *testing.F) {
 			t.Fatal(err)
 		}
 		g.Randomize(seed, density)
+		lo := int(loB) % (g.wpr + 1)
+		hi := lo + int(hiB)%(g.wpr+1-lo)
+		tiled := g.Clone()
 		const gens = 3
 		want, wantUpdates := referenceRun(g, gens)
 		if got := g.RunCounted(gens); got != wantUpdates {
@@ -257,6 +305,14 @@ func FuzzPackedLife(f *testing.F) {
 		}
 		if !g.Equal(want) {
 			t.Errorf("%dx%d %v: SWAR board diverged from the per-cell reference", rows, cols, mode)
+		}
+		var tiledUpdates int64
+		for i := 0; i < gens; i++ {
+			tiledUpdates += stepWordTiles(tiled, lo, hi)
+		}
+		if tiledUpdates != wantUpdates || !tiled.Equal(want) {
+			t.Errorf("%dx%d %v tiles at words %d,%d: %d live updates (reference %d), boards equal: %v",
+				rows, cols, mode, lo, hi, tiledUpdates, wantUpdates, tiled.Equal(want))
 		}
 	})
 }

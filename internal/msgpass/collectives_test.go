@@ -15,13 +15,10 @@ func TestBarrierPhases(t *testing.T) {
 	for _, size := range worldSizes {
 		size := size
 		t.Run(fmt.Sprintf("size-%d", size), func(t *testing.T) {
-			w, err := NewWorld(size)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := newTestWorld(t, size)
 			const rounds = 5
 			var entered atomic.Int64
-			err = w.Run(func(c *Comm) error {
+			err := w.Run(func(c *Comm) error {
 				for r := 0; r < rounds; r++ {
 					entered.Add(1)
 					if err := c.Barrier(); err != nil {
@@ -51,12 +48,9 @@ func TestBcastFromEveryRoot(t *testing.T) {
 		for root := 0; root < size; root++ {
 			size, root := size, root
 			t.Run(fmt.Sprintf("size-%d/root-%d", size, root), func(t *testing.T) {
-				w, err := NewWorld(size)
-				if err != nil {
-					t.Fatal(err)
-				}
+				w := newTestWorld(t, size)
 				want := fmt.Sprintf("payload-from-%d", root)
-				err = w.Run(func(c *Comm) error {
+				err := w.Run(func(c *Comm) error {
 					v := ""
 					if c.Rank() == root {
 						v = want
@@ -91,11 +85,8 @@ func TestReduceDifferential(t *testing.T) {
 				for r := 0; r < size; r++ {
 					want += int64(r*r + 1)
 				}
-				w, err := NewWorld(size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				err = w.Run(func(c *Comm) error {
+				w := newTestWorld(t, size)
+				err := w.Run(func(c *Comm) error {
 					got, err := Reduce(c, root, int64(c.Rank()*c.Rank()+1), add)
 					if err != nil {
 						return err
@@ -124,11 +115,8 @@ func TestAllreduceDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("size-%d", size), func(t *testing.T) {
 			wantSum := int64(size) * int64(size+1) / 2
 			wantMax := int64(size - 1)
-			w, err := NewWorld(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = w.Run(func(c *Comm) error {
+			w := newTestWorld(t, size)
+			err := w.Run(func(c *Comm) error {
 				sum, err := Allreduce(c, int64(c.Rank()+1), func(a, b int64) int64 { return a + b })
 				if err != nil {
 					return err
@@ -161,11 +149,8 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	for _, size := range worldSizes {
 		size := size
 		t.Run(fmt.Sprintf("size-%d", size), func(t *testing.T) {
-			w, err := NewWorld(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = w.Run(func(c *Comm) error {
+			w := newTestWorld(t, size)
+			err := w.Run(func(c *Comm) error {
 				var values []int
 				if c.Rank() == 0 {
 					values = make([]int, size)
@@ -207,11 +192,8 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 // TestCollectivesInterleaveWithUserTraffic: collectives in the reserved
 // negative tag space must not swallow user messages in flight across them.
 func TestCollectivesInterleaveWithUserTraffic(t *testing.T) {
-	w, err := NewWorld(4, WithCapacity(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 4, WithCapacity(16))
+	err := w.Run(func(c *Comm) error {
 		// User messages posted before the collective storm...
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() + c.Size() - 1) % c.Size()
@@ -242,11 +224,8 @@ func TestCollectivesInterleaveWithUserTraffic(t *testing.T) {
 }
 
 func TestCollectiveValidation(t *testing.T) {
-	w, err := NewWorld(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 1)
+	err := w.Run(func(c *Comm) error {
 		if _, err := Bcast(c, 3, 0); err == nil {
 			return fmt.Errorf("bcast with out-of-range root accepted")
 		}
@@ -272,11 +251,8 @@ func TestCollectiveValidation(t *testing.T) {
 // TestCollectiveCounters: one barrier + one allreduce per rank must show up
 // as exactly two collective calls per rank.
 func TestCollectiveCounters(t *testing.T) {
-	w, err := NewWorld(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 5)
+	err := w.Run(func(c *Comm) error {
 		if err := c.Barrier(); err != nil {
 			return err
 		}

@@ -16,6 +16,18 @@ import (
 
 const watchdogTick = 40 * time.Millisecond
 
+// newTestWorld builds a world for a test whose ranks block on Send/Recv,
+// with the watchdog armed, so a protocol hang fails within a few ticks
+// with the blocked ranks named instead of running into the test timeout.
+func newTestWorld(t *testing.T, size int, opts ...Option) *World {
+	t.Helper()
+	w, err := NewWorld(size, append(opts, WithWatchdog(watchdogTick))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestSelfSendDeadlockDetected is the positive form of the documented
 // capacity-0 self-send deadlock: a rendezvous send to yourself can never
 // complete (the rank cannot drain its own inbox while parked in the send),

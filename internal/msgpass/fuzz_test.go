@@ -84,13 +84,14 @@ func refMatch(s *matchScript) []int {
 // runMatchScript plays the script through a real world: rank 0 receives,
 // ranks 1..n replay their send scripts. The inbox is sized to hold every
 // message so sender scheduling can never block, leaving the receive-side
-// matching as the only degree of freedom under test.
+// matching as the only degree of freedom under test. The watchdog turns a
+// receive that can never match into a DeadlockError instead of a hang.
 func runMatchScript(s *matchScript) ([]int, error) {
 	total := 0
 	for _, msgs := range s.senders {
 		total += len(msgs)
 	}
-	w, err := NewWorld(len(s.senders)+1, WithCapacity(total+1))
+	w, err := NewWorld(len(s.senders)+1, WithCapacity(total+1), WithWatchdog(watchdogTick))
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,8 @@ import (
 )
 
 func TestSendRecvBasic(t *testing.T) {
-	w, err := NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 2)
+	err := w.Run(func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
 			if err := Send(c, 1, 7, []int{1, 2, 3}); err != nil {
@@ -45,11 +42,8 @@ func TestSendRecvBasic(t *testing.T) {
 // send order; matching by (source, tag) must hand each Recv its own
 // message, queuing early arrivals.
 func TestTagMatchingOutOfOrder(t *testing.T) {
-	w, err := NewWorld(2, WithCapacity(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 2, WithCapacity(8))
+	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			for tag := 0; tag < 4; tag++ {
 				if err := Send(c, 1, tag, 100+tag); err != nil {
@@ -78,11 +72,8 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 // send order even when other tags interleave.
 func TestNonOvertakingSameTag(t *testing.T) {
 	const n = 50
-	w, err := NewWorld(2, WithCapacity(2*n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 2, WithCapacity(2*n))
+	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				if err := Send(c, 1, 5, i); err != nil {
@@ -150,11 +141,8 @@ func TestRendezvousSendWaitsForReceiver(t *testing.T) {
 // TestEagerSendDoesNotBlock: with buffered capacity a rank can send to
 // itself and pick the message up afterwards — impossible under rendezvous.
 func TestEagerSendDoesNotBlock(t *testing.T) {
-	w, err := NewWorld(1, WithCapacity(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 1, WithCapacity(1))
+	err := w.Run(func(c *Comm) error {
 		if err := Send(c, 0, 3, "self"); err != nil {
 			return err
 		}
@@ -175,11 +163,8 @@ func TestEagerSendDoesNotBlock(t *testing.T) {
 // TestStatsCounters pins the per-rank counters on a known exchange: rank 0
 // sends 3 slices of 8 bytes, rank 1 replies with one 4-byte string.
 func TestStatsCounters(t *testing.T) {
-	w, err := NewWorld(2, WithCapacity(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 2, WithCapacity(8))
+	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 3; i++ {
 				if err := Send(c, 1, i, make([]int64, 1)); err != nil {
@@ -250,11 +235,8 @@ func TestValidationErrors(t *testing.T) {
 // TestTypedRecvMismatch: a payload of the wrong type is an error, not a
 // silent zero.
 func TestTypedRecvMismatch(t *testing.T) {
-	w, err := NewWorld(2, WithCapacity(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
+	w := newTestWorld(t, 2, WithCapacity(1))
+	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			return Send(c, 1, 0, "not an int")
 		}
