@@ -59,7 +59,9 @@ type DistRunner struct {
 	// and "halo-exchange" spans from the runner, plus the world's own
 	// send/recv/collective events (the world is built with
 	// msgpass.WithTrace), so a run renders halo traffic, stragglers, and
-	// the closing allreduce in chrome://tracing or Perfetto.
+	// the closing allreduce in chrome://tracing or Perfetto. The
+	// "halo-exchange" span covers the halo receives and fills, the part
+	// of the exchange that can wait, not the sends.
 	Trace *obs.Trace
 
 	// CommStats holds the world's traffic counters after Run returns.
@@ -72,9 +74,11 @@ type DistRunner struct {
 //
 // Protocol per rank: receive your row block from rank 0 (tagBlock), then
 // each generation send your top/bottom owned rows to your neighbors
-// (tagUp/tagDown), receive theirs into your halo rows, and advance your
-// band with the shared SWAR kernel; after the last generation, Allreduce
-// the live-update counts and send your block back to rank 0. Neighbor
+// (tagUp/tagDown), advance your interior rows with the shared SWAR kernel
+// while those are in flight, receive the neighbors' rows into your halo
+// rows, and then advance your two edge rows (MPI's Isend, compute the
+// interior, Wait idiom); after the last generation, Allreduce the
+// live-update counts and send your block back to rank 0. Neighbor
 // relationships wrap into a ring under Torus and fall off the ends
 // otherwise: a DeadEdges boundary halo stays all-dead, an AliveEdges one is
 // pinned all-live, and a MirrorEdges one is refreshed each generation with
@@ -221,23 +225,17 @@ func (dr *DistRunner) rank(c *msgpass.Comm, n int, stats *RunStats) error {
 	var updates int64
 	for gen := 0; gen < n; gen++ {
 		lane.Begin(nGen)
-		lane.Begin(nHalo)
 		top := src[wpr : 2*wpr]                     // first owned row
 		bot := src[band*wpr : (band+1)*wpr]         // last owned row
 		haloTop := src[:wpr]                        // row lo-1's image
 		haloBot := src[(band+1)*wpr : (band+2)*wpr] // row hi's image
-		if up == rank {                             // single-rank torus: both neighbors are us
-			copy(haloTop, bot)
-			copy(haloBot, top)
-		} else {
-			// Post both sends before either receive. Sends are eager, and
-			// a sender parked on a full inbox keeps draining its own
-			// (msgpass's progress rule), so the symmetric exchange
-			// completes even when early Allreduce traffic from ranks that
-			// ran ahead fills an inbox. The payloads are copies, so a
-			// neighbor may apply them whenever it reaches its own
-			// exchange. Then fill the halos: the neighbor above's bottom
-			// row arrives as tagDown, the one below's top row as tagUp.
+		// Post both sends before any receive. Sends are eager, and a
+		// sender parked on a full inbox keeps draining its own (msgpass's
+		// progress rule), so the symmetric exchange completes even when
+		// early Allreduce traffic from ranks that ran ahead fills an inbox.
+		// The payloads are copies, so a neighbor may apply them whenever it
+		// reaches its own exchange.
+		if up != rank {
 			if up >= 0 {
 				if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), top...)); err != nil {
 					return err
@@ -248,6 +246,22 @@ func (dr *DistRunner) rank(c *msgpass.Comm, n int, stats *RunStats) error {
 					return err
 				}
 			}
+		}
+		// The shared kernel over owned rows only; the local buffer is
+		// band+2 rows tall and rows [1, band+1) never reach past it, so the
+		// kernel never synthesizes a ghost row (hence no ghost-row buffers):
+		// all vertical neighbor data comes from the halos, while column
+		// edge behavior (mode) works exactly as on the full grid. Interior
+		// rows [2, band) read only owned rows, so they run while the halos
+		// are in flight.
+		updates += stepPackedSlices(src, dst, nil, nil, band+2, cols, wpr, mode, 2, band, 0, wpr)
+		lane.Begin(nHalo)
+		if up == rank { // single-rank torus: both neighbors are us
+			copy(haloTop, bot)
+			copy(haloBot, top)
+		} else {
+			// The neighbor above's bottom row arrives as tagDown, the one
+			// below's top row as tagUp.
 			if up >= 0 {
 				row, err := msgpass.Recv[[]uint64](c, up, distTagDown)
 				if err != nil {
@@ -275,12 +289,12 @@ func (dr *DistRunner) rank(c *msgpass.Comm, n int, stats *RunStats) error {
 			}
 		}
 		lane.End(nHalo)
-		// The shared kernel over owned rows only. The local buffer is
-		// band+2 rows tall and rows [1, band+1) never reach past it, so the
-		// kernel never synthesizes a ghost row (hence no ghost-row buffers):
-		// all vertical neighbor data comes from the halos, while column
-		// edge behavior (mode) works exactly as on the full grid.
-		updates += stepPackedSlices(src, dst, nil, nil, band+2, cols, wpr, mode, 1, band+1, 0, wpr)
+		// The edge rows, now that their halos are filled. A 1-row band's
+		// only row is both edges, and is stepped once.
+		updates += stepPackedSlices(src, dst, nil, nil, band+2, cols, wpr, mode, 1, 2, 0, wpr)
+		if band > 1 {
+			updates += stepPackedSlices(src, dst, nil, nil, band+2, cols, wpr, mode, band, band+1, 0, wpr)
+		}
 		lane.End(nGen)
 		src, dst = dst, src
 	}

@@ -121,7 +121,8 @@ func TestDistRunnerTrace(t *testing.T) {
 	}
 
 	// Runner-level spans nest deterministically: the halo exchange opens
-	// right after the generation does and closes before the kernel runs.
+	// after the sends and the interior rows, inside the generation, and
+	// closes before the edge rows run.
 	var want []string
 	for i := 0; i < gens; i++ {
 		want = append(want,
