@@ -18,11 +18,14 @@
 //	labd -cache-bytes 67108864 -cache-off life,survey
 //
 // Observability: GET /healthz, GET /debug/vars, Prometheus text metrics
-// at GET /metrics (on by default; -metrics=false disables), a structured
-// (JSON) request log on stderr with per-request IDs (also returned as
-// X-Labd-Request-Id), -trace-dir to record a Chrome trace-event timeline
-// of the whole run (written on graceful shutdown), and -pprof to mount
-// net/http/pprof under /debug/pprof/ (off by default).
+// at GET /metrics (on by default), a structured (JSON) request log on
+// stderr with per-request IDs (also returned as X-Labd-Request-Id),
+// -trace-dir to record a Chrome trace-event timeline of the whole run
+// (written on graceful shutdown), and -pprof to mount net/http/pprof
+// under /debug/pprof/ (off by default). Per-route request counts (by
+// exact status) and latencies are kept once, in the metrics registry,
+// and rendered on both /metrics and /debug/vars; -metrics=false drops
+// the registry, GET /metrics and the per-route /debug/vars keys.
 package main
 
 import (
@@ -63,7 +66,7 @@ func run() error {
 	cacheOff := flag.String("cache-off", "",
 		"comma-separated endpoints to serve uncached (asm,minic,cache,vm,life,homework,survey)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	metricsOn := flag.Bool("metrics", true, "serve Prometheus text metrics at GET /metrics")
+	metricsOn := flag.Bool("metrics", true, "keep per-route request metrics: serve GET /metrics and the per-route /debug/vars keys")
 	traceDir := flag.String("trace-dir", "", "record a Chrome trace-event timeline and write it here on shutdown")
 	flag.Parse()
 	if flag.NArg() != 0 {

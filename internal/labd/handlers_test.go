@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cs31/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -427,6 +429,8 @@ func TestDebugVarsAndMetrics(t *testing.T) {
 		})
 	}
 	getURL(t, ts.URL+"/v1/homework")
+	postJSON(t, ts.URL+"/v1/asm/run", map[string]int{"bogus": 1}) // 400
+	getURL(t, ts.URL+"/v1/nope")                                  // 404, (unmatched)
 
 	resp, raw := getURL(t, ts.URL+"/debug/vars")
 	if resp.StatusCode != http.StatusOK {
@@ -449,9 +453,8 @@ func TestDebugVarsAndMetrics(t *testing.T) {
 		t.Errorf("active_jobs = %d between requests, want 0", active)
 	}
 
-	snaps := s.Metrics().Snapshot()
 	byName := map[string]EndpointSnapshot{}
-	for _, ep := range snaps {
+	for _, ep := range s.Endpoints() {
 		byName[ep.Endpoint] = ep
 	}
 	if got := byName["POST /v1/cache/sim"].Requests; got != 3 {
@@ -459,6 +462,64 @@ func TestDebugVarsAndMetrics(t *testing.T) {
 	}
 	if got := byName["POST /v1/cache/sim"].ByStatus["200"]; got != 3 {
 		t.Errorf("cache/sim 200s = %d, want 3", got)
+	}
+
+	// Both surfaces read one store, so every route's /metrics series
+	// equal its /debug/vars entry exactly. The /debug/vars GET above is
+	// recorded after its body rendered, so only /metrics counts it.
+	prom := scrapeMetrics(t, ts.URL)
+	routes := map[string]EndpointSnapshot{}
+	for key, v := range vars {
+		if route, ok := strings.CutPrefix(key, "labd.endpoint."); ok {
+			routes[route] = decode[EndpointSnapshot](t, v)
+		}
+	}
+	if _, ok := routes["GET /debug/vars"]; ok {
+		t.Errorf("/debug/vars counted its own request")
+	}
+	routes["GET /debug/vars"] = EndpointSnapshot{Requests: 1, ByStatus: map[string]int64{"200": 1}}
+	var total, statuses int64
+	for route, ep := range routes {
+		total += ep.Requests
+		label := obs.Label("route", route)
+		if got := prom["labd_request_duration_seconds_count{"+label+"}"]; got != float64(ep.Requests) {
+			t.Errorf("%s: /metrics duration count %v, /debug/vars requests %d", route, got, ep.Requests)
+		}
+		var answered int64
+		for status, n := range ep.ByStatus {
+			statuses++
+			answered += n
+			if got := prom["labd_responses_total{"+label+`,status="`+status+`"}`]; got != float64(n) {
+				t.Errorf("%s status %s: /metrics %v, /debug/vars %d", route, status, got, n)
+			}
+		}
+		if answered != ep.Requests {
+			t.Errorf("%s: by_status sums to %d, requests %d", route, answered, ep.Requests)
+		}
+	}
+	// No route or status appears on /metrics alone.
+	var promRoutes, promStatuses int64
+	for key := range prom {
+		if strings.HasPrefix(key, "labd_request_duration_seconds_count{") {
+			promRoutes++
+		}
+		if strings.HasPrefix(key, "labd_responses_total{") {
+			promStatuses++
+		}
+	}
+	if promRoutes != int64(len(routes)) || promStatuses != statuses {
+		t.Errorf("/metrics has %d routes and %d status series, /debug/vars %d and %d",
+			promRoutes, promStatuses, len(routes), statuses)
+	}
+	var varsTotal int64
+	if err := json.Unmarshal(vars["labd.total_requests"], &varsTotal); err != nil {
+		t.Fatalf("labd.total_requests: %v", err)
+	}
+	if varsTotal != total-1 {
+		t.Errorf("labd.total_requests = %d, per-route requests sum to %d", varsTotal, total-1)
+	}
+	if got := prom["labd_requests_total"]; got != float64(varsTotal+1) {
+		t.Errorf("labd_requests_total = %v, want labd.total_requests %d + the /debug/vars GET", got, varsTotal)
 	}
 }
 

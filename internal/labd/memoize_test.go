@@ -320,7 +320,8 @@ func TestCacheFullyDisabled(t *testing.T) {
 }
 
 // TestPprofGatedByFlag: the profiling routes exist only when EnablePprof
-// is set; off (the default) they 404 like any unknown path.
+// is set; off (the default) they 404 like any unknown path. On, each is
+// counted under its own route, not as "(unmatched)".
 func TestPprofGatedByFlag(t *testing.T) {
 	_, off := newTestServer(t, Config{Workers: 1})
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
@@ -335,6 +336,19 @@ func TestPprofGatedByFlag(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("pprof enabled: GET %s = %d, want 200", path, resp.StatusCode)
 		}
+	}
+	_, raw := getURL(t, on.URL+"/debug/vars")
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &vars); err != nil {
+		t.Fatalf("parse /debug/vars: %v", err)
+	}
+	for _, key := range []string{"labd.endpoint.GET /debug/pprof/", "labd.endpoint.GET /debug/pprof/cmdline"} {
+		if _, ok := vars[key]; !ok {
+			t.Errorf("debug vars missing %q", key)
+		}
+	}
+	if _, ok := vars["labd.endpoint.(unmatched)"]; ok {
+		t.Errorf("pprof requests counted as (unmatched)")
 	}
 }
 

@@ -1,6 +1,7 @@
 package labd
 
 import (
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,11 +41,28 @@ type serverObs struct {
 	outcomes  map[string]*cacheObs    // by cached-endpoint name
 }
 
-// endpointObs is one route's request-duration histogram plus response
-// counters by status class.
+// endpointObs is one route's request-duration histogram plus its
+// response counters by exact HTTP status, each registered the first time
+// the route answers with that status.
 type endpointObs struct {
 	dur    *obs.Histogram
-	status [6]*obs.Counter // index = status/100, clamped to [1,5]
+	status map[int]*obs.Counter
+}
+
+// EndpointSnapshot is the exported view of one route's series.
+type EndpointSnapshot struct {
+	Endpoint  string           `json:"endpoint"`
+	Requests  int64            `json:"requests"`
+	ByStatus  map[string]int64 `json:"by_status"`
+	LatencyMs LatencySnapshot  `json:"latency_ms"`
+}
+
+// LatencySnapshot summarizes a route's latency histogram: the exact mean
+// in milliseconds, and the non-empty power-of-two buckets keyed by their
+// upper bound in nanoseconds ("le_1048576ns" holds requests <= 2^20 ns).
+type LatencySnapshot struct {
+	MeanMs  float64          `json:"mean"`
+	Buckets map[string]int64 `json:"buckets"`
 }
 
 // cacheObs is one cached endpoint's per-outcome latency histograms:
@@ -82,52 +100,85 @@ func (o *serverObs) nextRequestID() (uint64, string) {
 	return n, strconv.FormatUint(n, 16)
 }
 
-// endpoint returns (creating on first use) the route's metric series.
-// The read-locked fast path is one map lookup; creation registers the
-// duration histogram and the five status-class counters so scrapes see
-// every class from the first request on.
-func (o *serverObs) endpoint(pattern string) *endpointObs {
+// series returns the route's duration histogram and its counter for
+// status, registering either on first sighting. The read-locked fast
+// path is two map lookups; creation re-checks under the write lock.
+func (o *serverObs) series(pattern string, status int) (*obs.Histogram, *obs.Counter) {
 	o.mu.RLock()
 	eo := o.endpoints[pattern]
-	o.mu.RUnlock()
+	var c *obs.Counter
 	if eo != nil {
-		return eo
+		c = eo.status[status]
+	}
+	o.mu.RUnlock()
+	if c != nil {
+		return eo.dur, c
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if eo = o.endpoints[pattern]; eo != nil {
-		return eo
-	}
-	eo = &endpointObs{}
 	route := obs.Label("route", pattern)
-	eo.dur = o.reg.Histogram("labd_request_duration_seconds",
-		"End-to-end request latency by route.", route, 4)
-	for c := 1; c <= 5; c++ {
-		eo.status[c] = o.reg.Counter("labd_responses_total",
-			"Responses by route and status class.",
-			route+","+obs.Label("status", strconv.Itoa(c)+"xx"))
+	if eo = o.endpoints[pattern]; eo == nil {
+		eo = &endpointObs{status: make(map[int]*obs.Counter)}
+		eo.dur = o.reg.Histogram("labd_request_duration_seconds",
+			"End-to-end request latency by route.", route, 4)
+		o.endpoints[pattern] = eo
 	}
-	o.endpoints[pattern] = eo
-	return eo
+	if c = eo.status[status]; c == nil {
+		c = o.reg.Counter("labd_responses_total", "Responses by route and HTTP status.",
+			route+","+obs.Label("status", strconv.Itoa(status)))
+		eo.status[status] = c
+	}
+	return eo.dur, c
 }
 
-// observeRequest records one finished request: duration histogram,
-// status-class counter, and (when tracing) an X span on the shared
-// http lane carrying the status and request ID.
-func (o *serverObs) observeRequest(pattern string, status int, start time.Time, id uint64) {
+// observeRequest records one finished request, the only place a request
+// is counted: duration histogram, exact-status counter, and (when
+// tracing) an X span on the shared http lane carrying the status and
+// request ID.
+func (o *serverObs) observeRequest(pattern string, status int, start time.Time, d time.Duration, id uint64) {
 	if o.reg != nil {
-		eo := o.endpoint(pattern)
-		eo.dur.Observe(int64(time.Since(start)))
-		c := status / 100
-		if c < 1 {
-			c = 1
-		}
-		if c > 5 {
-			c = 5
-		}
-		eo.status[c].Inc()
+		dur, c := o.series(pattern, status)
+		c.Inc()
+		dur.Observe(int64(d))
 	}
 	o.httpLane.CompleteArgs(o.nRequest, start, int64(status), int64(id))
+}
+
+// Endpoints snapshots every route's request count, responses by exact
+// status and latency histogram, sorted by route. They are read from the
+// obs registry's series, so /debug/vars and /metrics report one record;
+// nil when metrics are disabled.
+func (s *Server) Endpoints() []EndpointSnapshot {
+	o := s.obs
+	if o == nil || o.reg == nil {
+		return nil
+	}
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	out := make([]EndpointSnapshot, 0, len(o.endpoints))
+	for route, eo := range o.endpoints {
+		h := eo.dur.Snapshot()
+		ep := EndpointSnapshot{
+			Endpoint:  route,
+			Requests:  h.Count,
+			ByStatus:  make(map[string]int64, len(eo.status)),
+			LatencyMs: LatencySnapshot{Buckets: make(map[string]int64)},
+		}
+		for st, c := range eo.status {
+			ep.ByStatus[strconv.Itoa(st)] = c.Value()
+		}
+		if h.Count > 0 {
+			ep.LatencyMs.MeanMs = float64(h.Sum) / float64(h.Count) / float64(time.Millisecond)
+		}
+		for i, n := range h.Counts {
+			if n > 0 {
+				ep.LatencyMs.Buckets["le_"+strconv.FormatUint(1<<uint(i), 10)+"ns"] = n
+			}
+		}
+		out = append(out, ep)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
+	return out
 }
 
 // observeMarshal records the encode+write time of a cold response.
@@ -161,9 +212,11 @@ func (o *serverObs) observeCacheOutcome(endpoint string, out memo.Outcome, d tim
 	co.byOutcome[out].Observe(int64(d))
 }
 
-// registerScrapeFuncs exposes the daemon's existing counters — the same
-// numbers /debug/vars reports — as scrape-time Prometheus series, read
-// fresh on every GET /metrics with zero per-request cost.
+// registerScrapeFuncs exposes counters kept elsewhere as scrape-time
+// Prometheus series, read fresh on every GET /metrics with zero
+// per-request cost. Each is a view of the only copy: the scheduler's and
+// the caches' own counters, the route series summed through Endpoints,
+// and the server's start time.
 func (s *Server) registerScrapeFuncs() {
 	r := s.obs.reg
 	if r == nil {
@@ -188,10 +241,15 @@ func (s *Server) registerScrapeFuncs() {
 		func() int64 { return sc.queueHWM.Load() })
 	r.GaugeFunc("labd_workers", "Worker pool size.", "",
 		func() int64 { return int64(sc.workers) })
-	r.CounterFunc("labd_requests_total", "HTTP requests served.", "",
-		func() int64 { return s.metrics.TotalRequests() })
+	r.CounterFunc("labd_requests_total", "HTTP requests served.", "", func() int64 {
+		var n int64
+		for _, ep := range s.Endpoints() {
+			n += ep.Requests
+		}
+		return n
+	})
 	r.GaugeFunc("labd_uptime_seconds", "Seconds since the server started.", "",
-		func() int64 { return int64(s.metrics.Uptime() / time.Second) })
+		func() int64 { return int64(time.Since(s.start) / time.Second) })
 	for name, c := range s.caches {
 		c := c
 		ep := obs.Label("endpoint", name)

@@ -2,7 +2,9 @@ package labd
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,7 +37,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE labd_request_duration_seconds histogram",
 		`labd_request_duration_seconds_bucket{route="GET /v1/homework",le="+Inf"}`,
-		`labd_responses_total{route="GET /v1/homework",status="2xx"} 2`,
+		`labd_responses_total{route="GET /v1/homework",status="200"} 2`,
 		"# TYPE labd_scheduler_submitted_total counter",
 		`labd_cache_hits_total{endpoint="homework"} 1`,
 		`labd_cache_misses_total{endpoint="homework"} 1`,
@@ -72,6 +74,46 @@ func TestMetricsDisabled(t *testing.T) {
 	if resp.Header.Get(requestIDHeader) != "" {
 		t.Fatalf("request-id header present with obs disabled")
 	}
+	// /debug/vars still serves the scheduler and cache views, but the
+	// per-route keys live in the registry, so they are absent.
+	resp, raw := getURL(t, ts.URL+"/debug/vars")
+	if resp.StatusCode != 200 {
+		t.Fatalf("/debug/vars with metrics disabled: status %d", resp.StatusCode)
+	}
+	vars := decode[map[string]json.RawMessage](t, raw)
+	for _, key := range []string{"labd.scheduler", "labd.queue_hwm", "labd.cache_enabled"} {
+		if _, ok := vars[key]; !ok {
+			t.Errorf("debug vars missing %q with metrics disabled", key)
+		}
+	}
+	for key := range vars {
+		if strings.HasPrefix(key, "labd.endpoint.") || key == "labd.total_requests" {
+			t.Errorf("debug vars carry %q with metrics disabled", key)
+		}
+	}
+}
+
+// scrapeMetrics reads GET /metrics into a map from series (name plus
+// label set, as exposed) to value.
+func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
+	t.Helper()
+	resp, body := getURL(t, baseURL+"/metrics")
+	if resp.StatusCode != 200 {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }
 
 // TestRequestIDHeader checks every response carries a distinct

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -57,23 +56,23 @@ func (c *Config) fillDefaults() {
 // Server is the lab-service daemon: an http.Handler whose /v1 endpoints
 // funnel simulator jobs through the bounded queue into the worker pool.
 type Server struct {
-	cfg     Config
-	sched   *Scheduler
-	metrics *Metrics
-	mux     *http.ServeMux
-	caches  map[string]*memo.Cache // per-endpoint response memoization
-	obs     *serverObs             // nil when metrics and tracing are both off
+	cfg    Config
+	sched  *Scheduler
+	mux    *http.ServeMux
+	caches map[string]*memo.Cache // per-endpoint response memoization
+	obs    *serverObs             // nil when metrics and tracing are both off
+	start  time.Time              // for uptime
 }
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:     cfg,
-		sched:   NewScheduler(cfg.Workers, cfg.QueueDepth),
-		metrics: NewMetrics(),
-		mux:     http.NewServeMux(),
-		caches:  make(map[string]*memo.Cache),
+		cfg:    cfg,
+		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth),
+		mux:    http.NewServeMux(),
+		caches: make(map[string]*memo.Cache),
+		start:  time.Now(),
 	}
 	s.initCaches()
 	s.obs = newServerObs(&s.cfg)
@@ -91,8 +90,7 @@ func (s *Server) routes() {
 	registerJSON(s, "POST /v1/cache/sim", "cache", cacheSimKey, s.cacheSim)
 	registerJSON(s, "POST /v1/vm/sim", "vm", vmSimKey, s.vmSim)
 	registerJSON(s, "POST /v1/life/run", "life", lifeKey, s.lifeRun)
-	s.mux.HandleFunc("GET /v1/homework", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /v1/homework")
+	s.handle("GET /v1/homework", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		topic := q.Get("topic")
 		seed, err := queryInt64("seed", q.Get("seed"), 31)
@@ -111,8 +109,7 @@ func (s *Server) routes() {
 			return s.homeworkGen(ctx, topic, seed, int(n64), answers)
 		})
 	})
-	s.mux.HandleFunc("GET /v1/survey/figure1", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /v1/survey/figure1")
+	s.handle("GET /v1/survey/figure1", func(w http.ResponseWriter, r *http.Request) {
 		seed, err := queryInt64("seed", r.URL.Query().Get("seed"), 2022)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -128,17 +125,10 @@ func (s *Server) routes() {
 			return s.surveyFigure1(ctx, seed, int(st64))
 		})
 	})
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /healthz")
-		s.healthz(w, r)
-	})
-	s.mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /debug/vars")
-		s.debugVars(w, r)
-	})
+	s.handle("GET /healthz", s.healthz)
+	s.handle("GET /debug/vars", s.debugVars)
 	if s.obs != nil && s.obs.reg != nil {
-		s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			markPattern(w, "GET /metrics")
+		s.handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			_ = s.obs.reg.WritePrometheus(w)
 		})
@@ -147,15 +137,24 @@ func (s *Server) routes() {
 		// Profiling is opt-in (-pprof): the handlers expose goroutine
 		// dumps and CPU profiles, which an open classroom deployment
 		// should not serve by default. Unregistered routes 404.
-		s.mux.HandleFunc("GET /debug/pprof/", func(w http.ResponseWriter, r *http.Request) {
-			markPattern(w, "GET /debug/pprof/")
-			pprof.Index(w, r)
-		})
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		s.handle("GET /debug/pprof/", pprof.Index)
+		s.handle("GET /debug/pprof/cmdline", pprof.Cmdline)
+		s.handle("GET /debug/pprof/profile", pprof.Profile)
+		s.handle("GET /debug/pprof/symbol", pprof.Symbol)
+		s.handle("GET /debug/pprof/trace", pprof.Trace)
 	}
+}
+
+// handle mounts h at pattern and stamps the pattern on the middleware's
+// recorder, so metrics aggregate by route instead of raw path and only
+// paths no route matches roll up as "(unmatched)".
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if sr, ok := w.(*statusRecorder); ok {
+			sr.pattern = pattern
+		}
+		h(w, r)
+	})
 }
 
 // queryInt64 parses an optional integer query parameter. A missing or
@@ -173,7 +172,8 @@ func queryInt64(name, s string, def int64) (int64, error) {
 }
 
 // Handler returns the daemon's root handler with metrics and logging
-// middleware applied.
+// middleware applied. It times each request once and records it once,
+// in the obs registry (observeRequest).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -197,9 +197,8 @@ func (s *Server) Handler() http.Handler {
 		if pattern == "" {
 			pattern = "(unmatched)"
 		}
-		s.metrics.Observe(pattern, rec.status, d)
 		if s.obs != nil {
-			s.obs.observeRequest(pattern, rec.status, start, reqNum)
+			s.obs.observeRequest(pattern, rec.status, start, d, reqNum)
 		}
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Info("request",
@@ -221,9 +220,6 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.sched.Shutdown(ctx)
 }
-
-// Metrics exposes the server's counters (for tests and embedders).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // SchedStats snapshots the scheduler counters.
 func (s *Server) SchedStats() SchedStats { return s.sched.Stats() }
@@ -323,21 +319,12 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// markPattern records the matched route on the middleware's recorder so
-// metrics aggregate by pattern instead of raw path.
-func markPattern(w http.ResponseWriter, pattern string) {
-	if sr, ok := w.(*statusRecorder); ok {
-		sr.pattern = pattern
-	}
-}
-
 // registerJSON adapts a typed request/response handler onto the memoized
 // queued path: decode the JSON body (1 MiB cap) up front, derive the
 // request's canonical cache key, then serve from cache or run the
 // simulator work through the pool and encode the reply.
 func registerJSON[Req, Resp any](s *Server, pattern, endpoint string, keyFn func(*Server, Req) (uint64, bool), fn func(ctx context.Context, req Req) (Resp, error)) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, pattern)
+	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		body := http.MaxBytesReader(nil, r.Body, 1<<20)
 		dec := json.NewDecoder(body)
@@ -374,13 +361,14 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		Workers:  st.Workers,
 		QueueLen: st.QueueLen,
 		QueueCap: st.QueueCap,
-		UptimeMs: s.metrics.Uptime().Milliseconds(),
+		UptimeMs: time.Since(s.start).Milliseconds(),
 	})
 }
 
 // debugVars renders the daemon's counters in expvar's flat-JSON shape:
 // one "labd.*" key per var. The registry is per-server rather than
-// process-global so concurrent servers (tests) don't collide.
+// process-global so concurrent servers (tests) don't collide. Per-route
+// keys come from Endpoints and are left out when metrics are disabled.
 func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
 	sched := s.sched.Stats()
 	vars := map[string]any{
@@ -390,16 +378,20 @@ func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
 			"completed": sched.Completed,
 			"skipped":   sched.Skipped,
 		},
-		"labd.workers":        sched.Workers,
-		"labd.queue_cap":      sched.QueueCap,
-		"labd.queue_len":      sched.QueueLen,
-		"labd.queue_hwm":      sched.QueueHWM,
-		"labd.active_jobs":    sched.Active,
-		"labd.uptime_ms":      s.metrics.Uptime().Milliseconds(),
-		"labd.total_requests": s.metrics.TotalRequests(),
+		"labd.workers":     sched.Workers,
+		"labd.queue_cap":   sched.QueueCap,
+		"labd.queue_len":   sched.QueueLen,
+		"labd.queue_hwm":   sched.QueueHWM,
+		"labd.active_jobs": sched.Active,
+		"labd.uptime_ms":   time.Since(s.start).Milliseconds(),
 	}
-	for _, ep := range s.metrics.Snapshot() {
-		vars[fmt.Sprintf("labd.endpoint.%s", ep.Endpoint)] = ep
+	if eps := s.Endpoints(); eps != nil {
+		var total int64
+		for _, ep := range eps {
+			vars["labd.endpoint."+ep.Endpoint] = ep
+			total += ep.Requests
+		}
+		vars["labd.total_requests"] = total
 	}
 	vars["labd.cache_enabled"] = len(s.caches) > 0
 	if snaps := s.CacheStats(); len(snaps) > 0 {
